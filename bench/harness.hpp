@@ -284,7 +284,7 @@ struct BenchArgs {
                 "ops (0 = immortal workers)");
     cli.add_int("scan-quantum", 0,
                 "deamortized reclamation: max retired nodes examined per "
-                "increment (0 = monolithic passes; else must be >= 2)");
+                "step (0 = one unbounded step; else must be >= 2)");
     cli.add_string("pool", "on",
                    "node-pool allocation arm: on (per-thread magazines + "
                    "global depot) or off (system allocator)");

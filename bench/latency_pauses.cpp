@@ -2,7 +2,7 @@
 // batched read path:
 //
 //   * pause_ab: the same write-dominated MichaelList run twice per scheme —
-//     amortized (scan_quantum = 0: monolithic empty() passes) vs
+//     amortized (scan_quantum = 0: each pass one unbounded engine step) vs
 //     deamortized (scan_quantum = Q: bounded cursor increments). empty_freq
 //     is set low enough that reclamation passes land well above p999
 //     frequency, so the histogram tail shows the pause, not just the mean.
@@ -13,7 +13,7 @@
 //   * pause_probe: the deterministic arm of the claim. Build a retired
 //     backlog of --probe-backlog nodes with no protection anywhere, let
 //     the scheduled pass hit it, and read back the scheme's max_pause_ns
-//     high-water: the amortized arm's longest pause is one monolithic scan
+//     high-water: the amortized arm's longest pause is one unbounded step
 //     over the whole backlog, the deamortized arm's is one quantum-bounded
 //     increment — a structural ~backlog/quantum gap that host noise cannot
 //     flip. Each arm takes the min over repeats, since preemption can only
@@ -86,7 +86,7 @@ struct ProbeNode : mp::smr::NodeBase {
 
 /// One probe run: retire 2x`backlog` unprotected nodes with empty_freq ==
 /// backlog, so the scheduled pass at retire #backlog faces the whole
-/// backlog at once. Amortized (quantum == 0) that is one monolithic scan;
+/// backlog at once. Amortized (quantum == 0) that is one unbounded step;
 /// deamortized the same work drains through quantum-bounded increments
 /// riding the second `backlog` retires. Returns the scheme's own
 /// max_pause_ns high-water (pause_clock_ns around run_reclaim_increment).
@@ -206,7 +206,8 @@ void pause_ab(const char* scheme, const Params& params,
   if (!gate.enabled) return;
   char why[256];
   // The deamortization claim itself rides the deterministic probe: a
-  // monolithic scan of `backlog` nodes vs one quantum-bounded increment.
+  // one unbounded step over `backlog` nodes vs one quantum-bounded
+  // increment.
   if (probe_deamortized >= probe_amortized) {
     std::snprintf(why, sizeof(why),
                   "%s: probe max_pause_ns not reduced (%llu -> %llu)", scheme,

@@ -92,21 +92,6 @@ class CowAvlTree {
     return do_remove(handle.tid(), key);
   }
 
-  // Deprecated raw-tid overloads: still working, but mint a ThreadHandle
-  // (scheme().handle(tid)) instead.
-  [[deprecated("use the ThreadHandle overload")]]
-  bool contains(int tid, Key key) { return do_contains(tid, key); }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool get(int tid, Key key, Value& value_out) {
-    return do_get(tid, key, value_out);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool insert(int tid, Key key, Value value) {
-    return do_insert(tid, key, value);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool remove(int tid, Key key) { return do_remove(tid, key); }
-
  private:
   // ---- Readers: lock-free ----
 

@@ -121,26 +121,6 @@ class FraserSkipList {
     return do_remove(handle.tid(), key);
   }
 
-  // Deprecated raw-tid overloads: still working, but mint a ThreadHandle
-  // (scheme().handle(tid)) instead.
-  [[deprecated("use the ThreadHandle overload")]]
-  bool contains(int tid, Key key) { return do_contains(tid, key); }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool get(int tid, Key key, Value& value_out) {
-    return do_get(tid, key, value_out);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  std::size_t get_many(int tid, const Key* keys, std::size_t count,
-                       Value* values, bool* found) {
-    return do_get_many(tid, keys, count, values, found);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool insert(int tid, Key key, Value value) {
-    return do_insert(tid, key, value);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool remove(int tid, Key key) { return do_remove(tid, key); }
-
  private:
   bool do_contains(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);

@@ -111,29 +111,6 @@ class MichaelList {
     return do_remove(handle.tid(), key);
   }
 
-  // ---- Deprecated raw-tid overloads ----
-  //
-  // Still working, but a bare tid carries no proof it belongs to this
-  // scheme instance; mint a ThreadHandle (scheme().handle(tid)) or use an
-  // OperationScope/Guard instead.
-  [[deprecated("use the ThreadHandle overload")]]
-  bool contains(int tid, Key key) { return do_contains(tid, key); }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool get(int tid, Key key, Value& value_out) {
-    return do_get(tid, key, value_out);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  std::size_t get_many(int tid, const Key* keys, std::size_t count,
-                       Value* values, bool* found) {
-    return do_get_many(tid, keys, count, values, found);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool insert(int tid, Key key, Value value) {
-    return do_insert(tid, key, value);
-  }
-  [[deprecated("use the ThreadHandle overload")]]
-  bool remove(int tid, Key key) { return do_remove(tid, key); }
-
   // ---- Single-threaded helpers for tests and examples ----
 
   /// Number of client keys (excludes sentinels). Not linearizable.

@@ -69,36 +69,12 @@ inline constexpr const char* kReportSchema = "marginptr-bench-report";
 inline constexpr std::uint64_t kReportVersion = 8;
 inline constexpr std::uint64_t kMinReportVersion = 1;
 
+/// Every counter of the table in smr/stats.hpp, keyed by field name.
 inline json::Value to_json(const smr::StatsSnapshot& s) {
   json::Value out = json::Value::object();
-  out["fences"] = s.fences;
-  out["reads"] = s.reads;
-  out["slow_protects"] = s.slow_protects;
-  out["hp_fallbacks"] = s.hp_fallbacks;
-  out["allocs"] = s.allocs;
-  out["retires"] = s.retires;
-  out["reclaims"] = s.reclaims;
-  out["drained"] = s.drained;
-  out["empties"] = s.empties;
-  out["retired_sum"] = s.retired_sum;
-  out["retired_samples"] = s.retired_samples;
-  out["index_collisions"] = s.index_collisions;
-  out["peak_retired"] = s.peak_retired;
-  out["emergency_empties"] = s.emergency_empties;
-  out["orphaned"] = s.orphaned;
-  out["adopted"] = s.adopted;
-  out["pool_hits"] = s.pool_hits;
-  out["pool_misses"] = s.pool_misses;
-  out["depot_exchanges"] = s.depot_exchanges;
-  out["unlinked_frees"] = s.unlinked_frees;
-  out["offloaded"] = s.offloaded;
-  out["inline_fallbacks"] = s.inline_fallbacks;
-  out["bg_snapshots"] = s.bg_snapshots;
-  out["bg_scans"] = s.bg_scans;
-  out["peak_inflight"] = s.peak_inflight;
-  out["scan_increments"] = s.scan_increments;
-  out["cursor_carryover"] = s.cursor_carryover;
-  out["max_pause_ns"] = s.max_pause_ns;
+#define MP_SMR_X(name, merge, since, scope) out[#name] = s.name;
+  MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
   return out;
 }
 
@@ -278,32 +254,15 @@ inline void check_stats_counters(const json::Value& stats,
     check(field != nullptr && field->is_number(),
           std::string("stats missing counter '") + key + "'", error);
   };
-  for (const char* key :
-       {"fences", "reads", "allocs", "retires", "reclaims", "drained",
-        "empties", "peak_retired", "emergency_empties"}) {
-    require(key);
-  }
-  if (version >= 2) {
-    for (const char* key : {"orphaned", "adopted"}) require(key);
-  }
-  if (version >= 3) {
-    for (const char* key :
-         {"pool_hits", "pool_misses", "depot_exchanges", "unlinked_frees"}) {
-      require(key);
-    }
-  }
-  if (version >= 4) {
-    for (const char* key : {"offloaded", "inline_fallbacks", "bg_snapshots",
-                            "bg_scans", "peak_inflight"}) {
-      require(key);
-    }
-  }
-  if (version >= 7) {
-    for (const char* key :
-         {"scan_increments", "cursor_carryover", "max_pause_ns"}) {
-      require(key);
-    }
-  }
+  // A counter is required from the report version that introduced it
+  // (the table's `since` column; 0 = never required).
+  const auto required = [version](std::uint64_t since) {
+    return since != 0 && version >= since;
+  };
+#define MP_SMR_X(name, merge, since, scope) \
+  if (required(since)) require(#name);
+  MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
 }
 
 inline void check_waste(const json::Value& waste, std::string& error) {

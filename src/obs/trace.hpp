@@ -36,8 +36,8 @@ enum class TraceEvent : std::uint8_t {
   kDetach,           ///< thread departed; arg = retired nodes handed over
   kAdopt,            ///< orphan batches adopted; arg = nodes taken over
   kOffload,          ///< batch handed to the reclaimer; arg = batch size
-  kBgScan,           ///< reclaimer scanned a batch; arg = nodes scanned
-  kScanStep,         ///< bounded cursor/chunk increment; arg = nodes examined
+  kBgScan,           ///< reclaimer finished a pass; arg = nodes scanned
+  kScanStep,         ///< reclamation engine step; arg = nodes examined
   // ProtectionOracle lifecycle events (smr/oracle.hpp): recorded only in
   // SMR_ORACLE builds with an oracle attached. All carry arg = node
   // address, so a violation report can grep the rings for one node's

@@ -294,7 +294,8 @@ class FaultInjector {
 /// pass-start sizes obey L' <= base + ceil(L/Q), whose fixed point is
 /// below base * Q/(Q-1) + 1 for Q >= 2 (Config::validate rejects Q == 1).
 /// Adding one quantum absorbs the worst-case step phase offset. With
-/// quantum 0 (monolithic passes) the base bound is returned unchanged.
+/// quantum 0 (one unbounded step per pass) the base bound is returned
+/// unchanged.
 inline std::uint64_t deamortized_waste_bound(std::uint64_t base,
                                              std::uint64_t quantum) noexcept {
   if (quantum == 0 || base == kUnboundedWaste) return base;

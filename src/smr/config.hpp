@@ -132,13 +132,14 @@ struct Config {
   std::uint32_t reclaim_poll_ms = 1;
 
   /// Deamortized reclamation (DESIGN.md §12): upper bound on retired nodes
-  /// examined per reclamation increment. 0 (the default) keeps the legacy
-  /// monolithic behavior — every scheduled/emergency pass scans the whole
-  /// retired list in one go. A nonzero quantum turns each pass into a
-  /// resumable per-thread cursor that examines at most `scan_quantum` nodes
-  /// per retire() against a cached protection snapshot (re-collected only
-  /// on epoch advance), and chunks the background reclaimer's pass at the
-  /// same granularity so stop()/drain() interleave at quantum boundaries.
+  /// examined per step of the reclamation engine. Every pass is a
+  /// resumable per-thread cursor that filters the retired list against a
+  /// cached protection snapshot (re-collected only on epoch advance), one
+  /// step of at most `scan_quantum` nodes per retire(); the background
+  /// reclaimer's pass is chunked at the same granularity so stop()/drain()
+  /// interleave at quantum boundaries. 0 (the default) is one unbounded
+  /// step of the same engine: each pass covers the whole retired list in
+  /// one go.
   /// Must be 0 or >= 2: with quantum 1 the pass examines one node per
   /// retire while each retire adds one, so a pass over L nodes never
   /// terminates ahead of the next scheduled pass and the backlog
@@ -207,7 +208,7 @@ struct Config {
     }
     if (reclaim_poll_ms == 0) fail("reclaim_poll_ms must be positive");
     if (scan_quantum == 1) {
-      fail("scan_quantum must be 0 (monolithic passes) or >= 2 (a quantum "
+      fail("scan_quantum must be 0 (one unbounded step) or >= 2 (a quantum "
            "of 1 cannot outpace the one-node-per-retire inflow)");
     }
     if (background_reclaim) {

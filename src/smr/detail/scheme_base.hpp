@@ -8,7 +8,15 @@
 //   epoch_now()                 current global epoch (0 if the scheme has none)
 //   on_alloc_tick(tid, count)   called per allocation (epoch advancement)
 //   assign_index(tid)           32-bit MP index for a fresh node
-//   empty(tid)                  scan-and-reclaim over the thread's retired list
+//   collect_snapshot(snapshot)  one view of every thread's protection state
+//   snapshot_protects(node, s)  the reclamation predicate against that view
+//
+// Reclamation has one engine (DESIGN.md §12): filter a retired list against
+// one protection snapshot, a bounded step at a time (reclaimer.hpp's
+// filter_step). The foreground cursor and the background reclaimer both run
+// it; scan_quantum 0 is one unbounded step. A scheme that reclaims some
+// other way (Hyaline's snapshot-free handover, Leaky's never) shadows
+// empty() and owns its pass instead.
 //
 // Lifetime rules (paper §2): retire() is only passed removed nodes, at most
 // once; drain()/the destructor may only run when no thread is inside an
@@ -29,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -157,38 +166,28 @@ class SchemeBase {
     trace_event(tid, obs::TraceEvent::kRetire, local.retired.size());
     FaultInjector* chaos = config_.fault_injector;
     if (chaos != nullptr) chaos->point(tid, ChaosPoint::kRetire);
-    const bool incremental = config_.scan_quantum != 0;
     bool emptied = false;
     if (++local.retire_counter % config_.empty_freq == 0) {
       if (chaos != nullptr && chaos->delay_reclamation(tid)) {
         // Injected delay: this scheduled pass is skipped; the soft cap (if
         // any) below is the backstop the delay is probing.
-      } else if (reclaimer_ != nullptr) {
-        if (try_offload(tid)) {
-          emptied = true;  // the list was emptied by handover
-        } else {
+      } else if (reclaimer_ != nullptr && try_offload(tid)) {
+        emptied = true;  // the list was emptied by handover
+      } else {
+        if (reclaimer_ != nullptr) {
           // Backpressure (the in-flight cap) or a shell OOM: fall back to
           // exactly the foreground pass, so waste_bound_per_thread keeps
           // holding with only the bounded in-flight term added on top.
-          adopt_orphans(tid);
-          stats.bump(stats.empties);
           stats.bump(stats.inline_fallbacks);
-          trace_event(tid, obs::TraceEvent::kEmpty, local.retired.size());
-          run_reclaim_increment(tid, incremental);
-          emptied = true;
         }
-      } else {
-        adopt_orphans(tid);
-        stats.bump(stats.empties);
-        trace_event(tid, obs::TraceEvent::kEmpty, local.retired.size());
-        run_reclaim_increment(tid, incremental);
+        scheduled_pass(tid);
         emptied = true;
       }
-    } else if (incremental && local.cursor.active) {
+    } else if (local.cursor.active) {
       // Continuation: one bounded step per retire while a pass is open, so
       // a pass over L nodes completes within ceil(L/quantum) retires and
       // no single operation ever absorbs more than O(quantum) scan work.
-      run_reclaim_increment(tid, true);
+      run_reclaim_increment(tid);
       emptied = true;  // an increment ran; no emergency work on top of it
     }
     if (config_.retired_soft_cap == 0) return;
@@ -197,11 +196,8 @@ class SchemeBase {
       return;
     }
     if (emptied || local.retire_counter < local.next_emergency) return;
-    adopt_orphans(tid);
-    stats.bump(stats.empties);
     stats.bump(stats.emergency_empties);
-    trace_event(tid, obs::TraceEvent::kEmergencyEmpty, local.retired.size());
-    run_reclaim_increment(tid, incremental);
+    scheduled_pass(tid, obs::TraceEvent::kEmergencyEmpty);
     if (local.retired.size() >= config_.retired_soft_cap) {
       // The pass was futile (e.g. a stalled peer pins everything): back
       // off exponentially, capped so retire() latency stays bounded.
@@ -220,9 +216,7 @@ class SchemeBase {
   /// and client-side destructor hooks, same as free_node()/drain().
   void delete_unlinked(int tid, Node* node) noexcept {
     oracle_unlinked_free_hook(tid, node);
-    if (config_.free_hook != nullptr) {
-      config_.free_hook(config_.free_hook_context, node);
-    }
+    run_free_hook(node);
     auto& stats = *stats_[tid];
     stats.bump(stats.unlinked_frees);
     destroy(tid, node);
@@ -234,9 +228,7 @@ class SchemeBase {
   /// tid overload on hot paths.
   void delete_unlinked(Node* node) noexcept {
     oracle_unlinked_free_hook(ProtectionOracle::kNoTid, node);
-    if (config_.free_hook != nullptr) {
-      config_.free_hook(config_.free_hook_context, node);
-    }
+    run_free_hook(node);
     stray_frees_.fetch_add(1, std::memory_order_relaxed);
     destroy_unowned(node);
   }
@@ -301,26 +293,18 @@ class SchemeBase {
   }
 
   /// Adopt every batch currently in the orphan pool into `tid`'s retired
-  /// list, so the next empty() pass scans (and can reclaim) them. A single
-  /// exchange detaches the whole stack — wait-free for the adopter, and
-  /// no two adopters can ever receive the same batch. Runs automatically
-  /// before scheduled and emergency empty() passes.
+  /// list, so the next pass scans (and can reclaim) them. Runs
+  /// automatically before every scheduled, emergency and nudged pass.
   void adopt_orphans(int tid) {
-    OrphanBatch* batch = orphans_.exchange(nullptr, std::memory_order_acquire);
-    if (batch == nullptr) return;
     auto& local = *local_[tid];
-    auto& stats = *stats_[tid];
-    std::size_t adopted = 0;
-    while (batch != nullptr) {
-      adopted += batch->nodes.size();
-      local.retired.insert(local.retired.end(), batch->nodes.begin(),
-                           batch->nodes.end());
-      OrphanBatch* next = batch->next;
-      delete batch;
-      batch = next;
-    }
+    const std::uint64_t adopted =
+        take_orphans([&](const std::vector<Node*>& nodes) {
+          local.retired.insert(local.retired.end(), nodes.begin(),
+                               nodes.end());
+        });
+    if (adopted == 0) return;
     sync_retired(tid);
-    orphan_count_.fetch_sub(adopted, std::memory_order_relaxed);
+    auto& stats = *stats_[tid];
     stats.bump(stats.adopted, adopted);
     stats.bump_max(stats.peak_retired, local.retired.size());
     trace_event(tid, obs::TraceEvent::kAdopt, adopted);
@@ -433,13 +417,9 @@ class SchemeBase {
       reclaimer_->wake();
       return;
     }
-    adopt_orphans(tid);
-    auto& stats = *stats_[tid];
-    stats.bump(stats.empties);
-    trace_event(tid, obs::TraceEvent::kEmpty, local_[tid]->retired.size());
-    // Deamortized configs keep the nudge bounded too: begin (or continue)
-    // a cursor pass with one quantum step instead of a monolithic scan.
-    run_reclaim_increment(tid, config_.scan_quantum != 0);
+    // Deamortized configs keep the nudge bounded too: it begins (or
+    // continues) a pass with one engine step.
+    scheduled_pass(tid);
   }
 
   /// The node pool (introspection: arm actually in effect, magazine and
@@ -472,31 +452,25 @@ class SchemeBase {
   /// bumping foreign records here both raced with their owners and skewed
   /// the reclaim counts Fig 6 is derived from.
   void drain() noexcept {
+    const auto free_one = [this](Node* node) noexcept {
+      oracle_free_hook(ProtectionOracle::kNoTid, node);
+      run_free_hook(node);
+      destroy_quiescent(node);
+    };
+    const auto free_all = [&](const std::vector<Node*>& nodes) noexcept {
+      for (Node* node : nodes) free_one(node);
+      return static_cast<std::uint64_t>(nodes.size());
+    };
     std::uint64_t freed = 0;
     // Whatever is in flight to the background reclaimer is backlog too:
     // queued batches and the reclaimer's survivor list are freed in place
     // under its pass mutex (allocation-free, serialized with any
     // concurrent scan), so drain() works both at teardown and between
     // bench phases with the reclaimer thread still running.
-    if (reclaimer_ != nullptr) {
-      freed += reclaimer_->drain_pending([this](Node* node) noexcept {
-        oracle_free_hook(ProtectionOracle::kNoTid, node);
-        if (config_.free_hook != nullptr) {
-          config_.free_hook(config_.free_hook_context, node);
-        }
-        destroy_quiescent(node);
-      });
-    }
+    if (reclaimer_ != nullptr) freed += reclaimer_->drain_pending(free_one);
     for (std::size_t i = 0; i < config_.max_threads; ++i) {
       auto& local = *local_[i];
-      for (Node* node : local.retired) {
-        oracle_free_hook(ProtectionOracle::kNoTid, node);
-        if (config_.free_hook != nullptr) {
-          config_.free_hook(config_.free_hook_context, node);
-        }
-        destroy_quiescent(node);
-        ++freed;
-      }
+      freed += free_all(local.retired);
       local.retired.clear();
       cursor_reset(static_cast<int>(i));
       sync_retired(static_cast<int>(i));
@@ -504,22 +478,7 @@ class SchemeBase {
     // The orphan pool is part of the backlog too: without this, batches
     // stranded between a detach() and the next adoption would leak at
     // teardown and break `retires == reclaims + drained` post-drain.
-    OrphanBatch* batch = orphans_.exchange(nullptr, std::memory_order_acquire);
-    while (batch != nullptr) {
-      for (Node* node : batch->nodes) {
-        oracle_free_hook(ProtectionOracle::kNoTid, node);
-        if (config_.free_hook != nullptr) {
-          config_.free_hook(config_.free_hook_context, node);
-        }
-        destroy_quiescent(node);
-        ++freed;
-      }
-      orphan_count_.fetch_sub(batch->nodes.size(),
-                              std::memory_order_relaxed);
-      OrphanBatch* next = batch->next;
-      delete batch;
-      batch = next;
-    }
+    freed += take_orphans(free_all);
     drained_.fetch_add(freed, std::memory_order_relaxed);
   }
 
@@ -607,21 +566,30 @@ class SchemeBase {
   // A scheme's Snapshot captures everything its reclamation predicate
   // needs (hazard slots, epoch horizon, era reservations, margin
   // intervals), decoupled from the scan itself so one collected snapshot
-  // can filter many batches: the foreground empty() collects and scans its
-  // own list; the background reclaimer collects ONCE per wakeup and scans
-  // every queued batch against it. Defaults give Leaky semantics — an
-  // empty snapshot that protects everything, so nothing is ever freed;
-  // every reclaiming scheme shadows all three.
+  // can filter many batches: the foreground cursor collects one per pass
+  // over its own list; the background reclaimer collects ONCE per wakeup
+  // and filters every queued batch against it. Defaults give Leaky
+  // semantics — an empty snapshot that protects everything, so nothing is
+  // ever freed; every reclaiming scheme shadows all three.
   //
   // Capability trait (smr.hpp's SnapshotReclaimable): a scheme that
   // reclaims without any snapshot pass — Hyaline's reference-counted
-  // handover — shadows kSnapshotFree with true and may define
-  // `using Snapshot = void;`. The ScanCursor, the background reclaimer's
-  // scan, and the waste watchdog's deamortized bound all dispatch on this
-  // via `if constexpr`, so the snapshot machinery is never instantiated
-  // for such a scheme.
+  // handover — shadows kSnapshotFree with true, defines
+  // `using Snapshot = void;` and shadows empty(). The background
+  // reclaimer and the waste watchdog dispatch on the trait via
+  // `if constexpr`, the foreground on the shadowed empty(), so the
+  // snapshot machinery is never instantiated for such a scheme.
 
   static constexpr bool kSnapshotFree = false;
+
+  /// One full foreground pass over `tid`'s retired list: the engine at an
+  /// unbounded quantum, restarting any open cursor pass. SmrSchemeCore's
+  /// per-thread reclamation entry point; a scheme that reclaims some other
+  /// way shadows it.
+  void empty(int tid) {
+    cursor_begin_pass(tid);
+    cursor_step(tid, step_quantum(0));
+  }
 
   struct Snapshot {};
   void collect_snapshot(Snapshot& /*snapshot*/) const noexcept {}
@@ -638,21 +606,20 @@ class SchemeBase {
     OrphanBatch* next = nullptr;
   };
 
-  /// Resumable bounded-increment reclamation pass (Config::scan_quantum,
-  /// DESIGN.md §12). Partitions the owner's retired list into three
-  /// regions:
-  ///   [0, pos)       survivors this pass (protected when examined)
-  ///   [pos, limit)   retired before the snapshot, not yet examined
-  ///   [limit, size)  retired after the snapshot — the next pass's input
-  /// The protection snapshot is cached across steps and re-collected only
-  /// when the scheme's epoch advances mid-pass. It is stored type-erased:
+  /// Resumable foreground reclamation pass (Config::scan_quantum,
+  /// DESIGN.md §12): the [pos, limit) window of the owner's retired list
+  /// that filter_step (reclaimer.hpp) works through. The protection
+  /// snapshot is collected by the pass's first step, cached across steps
+  /// and re-collected only when the scheme's epoch advances mid-pass. It is
+  /// also the scheme's only snapshot scratch, stored type-erased:
   /// Derived::Snapshot is still incomplete when the base instantiates
-  /// PerThread, so the concrete type is only named inside the template
-  /// member functions below (where Derived is complete).
+  /// PerThread, so the concrete type is only named inside cursor_step
+  /// (where Derived is complete).
   struct ScanCursor {
     std::size_t pos = 0;
     std::size_t limit = 0;
     bool active = false;
+    bool collected = false;  ///< this pass has collected its snapshot
     std::uint64_t snapshot_epoch = 0;
     void* snapshot = nullptr;
     void (*snapshot_deleter)(void*) noexcept = nullptr;
@@ -815,10 +782,15 @@ class SchemeBase {
     stats.bump(stats.reclaims);
     trace_event(tid, obs::TraceEvent::kReclaim,
                 reinterpret_cast<std::uintptr_t>(node));
+    run_free_hook(node);
+    destroy(tid, node);
+  }
+
+  /// Config::free_hook, fired on every free path just before destruction.
+  void run_free_hook(Node* node) const noexcept {
     if (config_.free_hook != nullptr) {
       config_.free_hook(config_.free_hook_context, node);
     }
-    destroy(tid, node);
   }
 
   // ---- Pool-aware construction / destruction ----
@@ -900,29 +872,11 @@ class SchemeBase {
     stats.bump(stats.retired_samples);
   }
 
-  /// Shared second half of every scheme's empty(): filter `tid`'s retired
-  /// list in place against a collected snapshot, freeing what nothing
-  /// protects. In-place compaction — no survivors scratch vector.
-  template <typename SnapshotT>
-  void scan_retired_local(int tid, const SnapshotT& snapshot) noexcept {
-    auto& local = *local_[tid];
-    std::size_t keep = 0;
-    for (Node* node : local.retired) {
-      if (derived().snapshot_protects(node, snapshot)) {
-        local.retired[keep++] = node;
-      } else {
-        free_node(tid, node);
-      }
-    }
-    local.retired.resize(keep);
-    sync_retired(tid);
-  }
-
-  // ---- Deamortized reclamation: the resumable ScanCursor (DESIGN.md §12) --
+  // ---- The reclamation engine's foreground arm (DESIGN.md §12) ----
 
   /// Monotonic clock read for the max_pause_ns high-water mark. Only ever
-  /// called around actual reclamation work (pass starts, cursor steps,
-  /// monolithic empties) — never on the retire() fast path.
+  /// called around actual reclamation work (one increment each) — never on
+  /// the retire() fast path.
   static std::uint64_t pause_clock_ns() noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -930,46 +884,68 @@ class SchemeBase {
             .count());
   }
 
+  /// Does Derived shadow empty(), i.e. own its reclamation pass instead of
+  /// running the engine (Hyaline's snapshot-free handover, Leaky)?
+  static constexpr bool owns_pass() noexcept {
+    return !std::is_same_v<decltype(&Derived::empty),
+                           decltype(&SchemeBase::empty)>;
+  }
+
+  /// One scheduled foreground pass: adopt parked orphans, count it, then
+  /// run one reclamation increment. retire()'s schedule, its emergency
+  /// path and reclaim_nudge() all enter reclamation here.
+  void scheduled_pass(int tid,
+                      obs::TraceEvent event = obs::TraceEvent::kEmpty) {
+    adopt_orphans(tid);
+    auto& stats = *stats_[tid];
+    stats.bump(stats.empties);
+    trace_event(tid, event, local_[tid]->retired.size());
+    run_reclaim_increment(tid);
+  }
+
   /// One unit of foreground reclamation on the calling thread, timed into
-  /// max_pause_ns either way: the legacy monolithic empty() when
-  /// `incremental` is false, otherwise begin-or-continue the resumable
-  /// cursor pass with one bounded step. This is the only place retire(),
-  /// the emergency path, and reclaim_nudge() run scan work, so the
-  /// amortized-vs-deamortized A/B reads one stat.
-  void run_reclaim_increment(int tid, bool incremental) {
+  /// max_pause_ns: begin-or-continue the cursor pass with one engine step
+  /// of at most scan_quantum nodes (all of them at quantum 0), or the
+  /// scheme's own pass when it owns one.
+  void run_reclaim_increment(int tid) {
     auto& stats = *stats_[tid];
     const std::uint64_t start = pause_clock_ns();
-    if constexpr (Derived::kSnapshotFree) {
-      // Snapshot-free schemes have no scan to deamortize: every pass is
-      // the scheme's own bounded handover (Config rejects a nonzero
-      // scan_quantum for them, so `incremental` is always false here —
-      // the discarded branch below would instantiate the cursor's
-      // `new Snapshot()` against Snapshot = void).
-      (void)incremental;
+    if constexpr (owns_pass()) {
       derived().empty(tid);
     } else {
-      if (incremental) {
-        if (!local_[tid]->cursor.active) cursor_begin_pass(tid);
-        cursor_step(tid);
-      } else {
-        derived().empty(tid);
-      }
+      if (!local_[tid]->cursor.active) cursor_begin_pass(tid);
+      cursor_step(tid, step_quantum(config_.scan_quantum));
     }
     stats.bump_max(stats.max_pause_ns, pause_clock_ns() - start);
   }
 
-  /// Open a cursor pass over everything currently buffered: collect the
-  /// protection snapshot into the per-thread cache (lazily allocated here,
-  /// where Derived — and hence Derived::Snapshot — is complete) and freeze
-  /// the examination window at the current list size. Nodes retired after
+  /// Open a cursor pass over everything currently buffered by freezing the
+  /// examination window at the current list size. Nodes retired after
   /// this point land beyond `limit` and are never filtered against this
-  /// snapshot — the ordering that makes the cached snapshot sound (the
-  /// same release/acquire argument the background reclaimer's one-snapshot
-  /// -many-batches scan rests on).
-  template <typename D = Derived>
-  void cursor_begin_pass(int tid) {
+  /// pass's snapshot, which the first step collects — after every node in
+  /// the window was retired, the ordering that makes the cached snapshot
+  /// sound (the same release/acquire argument the background reclaimer's
+  /// one-snapshot-many-batches scan rests on).
+  void cursor_begin_pass(int tid) noexcept {
     auto& local = *local_[tid];
     auto& cursor = local.cursor;
+    cursor.pos = 0;
+    cursor.limit = local.retired.size();
+    cursor.active = cursor.limit != 0;
+    cursor.collected = false;
+  }
+
+  /// One engine step: filter at most `quantum` unexamined nodes against
+  /// the cached snapshot, carrying survivors in place. The snapshot is
+  /// re-collected only when the scheme's epoch advanced mid-pass (a fresh
+  /// collection can only widen what is freeable for nodes retired before
+  /// the original one, so mid-pass refresh is sound and lets epoch-horizon
+  /// schemes make progress a stale horizon would block).
+  template <typename D = Derived>
+  void cursor_step(int tid, std::uint64_t quantum) {
+    auto& local = *local_[tid];
+    auto& cursor = local.cursor;
+    if (!cursor.active) return;
     using Snap = typename D::Snapshot;
     if (cursor.snapshot == nullptr) {
       cursor.snapshot = new Snap();
@@ -977,50 +953,20 @@ class SchemeBase {
         delete static_cast<Snap*>(p);
       };
     }
-    derived().collect_snapshot(*static_cast<Snap*>(cursor.snapshot));
-    cursor.snapshot_epoch = derived().epoch_now();
-    cursor.pos = 0;
-    cursor.limit = local.retired.size();
-    cursor.active = cursor.limit != 0;
-  }
-
-  /// Examine at most Config::scan_quantum unexamined nodes against the
-  /// cached snapshot, carrying survivors in place. The snapshot is
-  /// re-collected only when the scheme's epoch advanced mid-pass (a fresh
-  /// collection can only widen what is freeable for nodes retired before
-  /// the original one, so mid-pass refresh is sound and lets epoch-horizon
-  /// schemes make progress a stale horizon would block).
-  template <typename D = Derived>
-  void cursor_step(int tid) {
-    auto& local = *local_[tid];
-    auto& cursor = local.cursor;
-    if (!cursor.active) return;
-    auto* snap = static_cast<typename D::Snapshot*>(cursor.snapshot);
+    auto& snapshot = *static_cast<Snap*>(cursor.snapshot);
     const std::uint64_t epoch = derived().epoch_now();
-    if (epoch != cursor.snapshot_epoch) {
-      derived().collect_snapshot(*snap);
+    if (!cursor.collected || epoch != cursor.snapshot_epoch) {
+      derived().collect_snapshot(snapshot);
       cursor.snapshot_epoch = epoch;
+      cursor.collected = true;
     }
-    auto& retired = local.retired;
+    const std::uint64_t examined = filter_step(
+        local.retired, cursor.pos, cursor.limit, quantum,
+        [&](const Node* node) {
+          return derived().snapshot_protects(node, snapshot);
+        },
+        [&](Node* node) { free_node(tid, node); });
     auto& stats = *stats_[tid];
-    const std::uint64_t quantum = config_.scan_quantum;
-    std::uint64_t examined = 0;
-    while (cursor.pos < cursor.limit && examined < quantum) {
-      Node* node = retired[cursor.pos];
-      ++examined;
-      if (derived().snapshot_protects(node, *snap)) {
-        ++cursor.pos;
-      } else {
-        // O(1) multiset removal across the three regions: the hole takes
-        // the last unexamined node, whose slot takes the overall tail
-        // (both moves degenerate to self-assignment at the boundaries).
-        retired[cursor.pos] = retired[cursor.limit - 1];
-        retired[cursor.limit - 1] = retired.back();
-        retired.pop_back();
-        --cursor.limit;
-        free_node(tid, node);
-      }
-    }
     stats.bump(stats.scan_increments);
     trace_event(tid, obs::TraceEvent::kScanStep, examined);
     if (cursor.pos >= cursor.limit) {
@@ -1039,6 +985,24 @@ class SchemeBase {
     cursor.pos = 0;
     cursor.limit = 0;
     cursor.active = false;
+  }
+
+  /// Detach the whole orphan stack with one exchange — wait-free, and no
+  /// two takers can ever receive the same batch — and hand each parked
+  /// batch's nodes to `take`. Returns the node count taken.
+  template <typename Take>
+  std::uint64_t take_orphans(Take&& take) {
+    OrphanBatch* batch = orphans_.exchange(nullptr, std::memory_order_acquire);
+    std::uint64_t taken = 0;
+    while (batch != nullptr) {
+      take(batch->nodes);
+      taken += batch->nodes.size();
+      OrphanBatch* next = batch->next;
+      delete batch;
+      batch = next;
+    }
+    if (taken != 0) orphan_count_.fetch_sub(taken, std::memory_order_relaxed);
+    return taken;
   }
 
   // ---- Background-reclaimer plumbing (driven via friendship by
@@ -1087,9 +1051,7 @@ class SchemeBase {
     oracle_free_hook(ProtectionOracle::kNoTid, node);
     auto& stats = *bg_stats_;
     stats.bump(stats.reclaims);
-    if (config_.free_hook != nullptr) {
-      config_.free_hook(config_.free_hook_context, node);
-    }
+    run_free_hook(node);
     if (!pool_.enabled()) {
       delete node;
       return;
@@ -1104,17 +1066,11 @@ class SchemeBase {
   /// dead thread's garbage would wait for an inline fallback). Returns the
   /// node count taken; the caller adds it to its in-flight total.
   std::uint64_t bg_adopt_orphans(std::vector<Node*>& backlog) {
-    OrphanBatch* batch = orphans_.exchange(nullptr, std::memory_order_acquire);
-    if (batch == nullptr) return 0;
-    std::uint64_t adopted = 0;
-    while (batch != nullptr) {
-      adopted += batch->nodes.size();
-      backlog.insert(backlog.end(), batch->nodes.begin(), batch->nodes.end());
-      OrphanBatch* next = batch->next;
-      delete batch;
-      batch = next;
-    }
-    orphan_count_.fetch_sub(adopted, std::memory_order_relaxed);
+    const std::uint64_t adopted =
+        take_orphans([&](const std::vector<Node*>& nodes) {
+          backlog.insert(backlog.end(), nodes.begin(), nodes.end());
+        });
+    if (adopted == 0) return 0;
     auto& stats = *bg_stats_;
     stats.bump(stats.adopted, adopted);
     bg_trace(obs::TraceEvent::kAdopt, adopted);

@@ -155,12 +155,6 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
     return node->smr_header.retire_relaxed() >= snapshot.horizon;
   }
 
-  void empty(int tid) {
-    Snapshot snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> announced;

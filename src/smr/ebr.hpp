@@ -122,12 +122,6 @@ class EBR : public detail::SchemeBase<Node, EBR<Node>> {
     return node->smr_header.retire_relaxed() >= snapshot.horizon;
   }
 
-  void empty(int tid) {
-    Snapshot snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> announced;

@@ -9,9 +9,8 @@
 //
 // The handle is a trivially copyable two-word view — no ownership, no
 // registration side effects — so it can be passed by value through the
-// data-structure layer at zero cost. The data structures' raw-tid
-// overloads are [[deprecated]] forwarders now; new code should mint a
-// handle and use the ThreadHandle overloads.
+// data-structure layer at zero cost. The data structures take only
+// handles; the scheme layer below them keeps raw tids.
 #pragma once
 
 #include <utility>

@@ -34,9 +34,7 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
 
   explicit HE(const Config& config)
       : Base(config),
-        slots_(std::make_unique<common::Padded<Slots>[]>(config.max_threads)),
-        scratch_(std::make_unique<common::Padded<Scratch>[]>(
-            config.max_threads)) {
+        slots_(std::make_unique<common::Padded<Slots>[]>(config.max_threads)) {
     assert(config.slots_per_thread <= kMaxSlotsPerThread);
     for (std::size_t t = 0; t < config.max_threads; ++t) {
       for (auto& era : slots_[t]->eras) {
@@ -185,23 +183,13 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     return false;
   }
 
-  void empty(int tid) {
-    auto& snapshot = scratch_[tid]->snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slots {
     std::atomic<std::uint64_t> eras[kMaxSlotsPerThread];
   };
-  struct Scratch {
-    Snapshot snapshot;
-  };
 
   std::atomic<std::uint64_t> global_era_{1};
   std::unique_ptr<common::Padded<Slots>[]> slots_;
-  std::unique_ptr<common::Padded<Scratch>[]> scratch_;
 };
 
 }  // namespace mp::smr

@@ -44,9 +44,7 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
 
   explicit HP(const Config& config)
       : Base(config),
-        slots_(std::make_unique<common::Padded<Slots>[]>(config.max_threads)),
-        scratch_(std::make_unique<common::Padded<Scratch>[]>(
-            config.max_threads)) {
+        slots_(std::make_unique<common::Padded<Slots>[]>(config.max_threads)) {
     assert(config.slots_per_thread <= kMaxSlotsPerThread);
     for (std::size_t t = 0; t < config.max_threads; ++t) {
       for (auto& slot : slots_[t]->hazard) {
@@ -137,8 +135,8 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
   }
 
   /// One collected view of every hazard slot, sorted for binary search.
-  /// Collected once and queried per retired node — by the owning thread in
-  /// empty(), or once per wakeup for ALL queued batches by the background
+  /// Collected once and queried per retired node — by the owning thread once
+  /// per pass, or once per wakeup for ALL queued batches by the background
   /// reclaimer (the §6 snapshot optimization, amortized further).
   struct Snapshot {
     std::vector<const Node*> hazards;
@@ -170,22 +168,12 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
                               snapshot.hazards.end(), node);
   }
 
-  void empty(int tid) {
-    auto& snapshot = scratch_[tid]->snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slots {
     std::atomic<Node*> hazard[kMaxSlotsPerThread];
   };
-  struct Scratch {
-    Snapshot snapshot;
-  };
 
   std::unique_ptr<common::Padded<Slots>[]> slots_;
-  std::unique_ptr<common::Padded<Scratch>[]> scratch_;
 };
 
 }  // namespace mp::smr

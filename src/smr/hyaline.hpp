@@ -47,9 +47,11 @@
 // never reads it.
 //
 // kSnapshotFree: there is no Snapshot/collect_snapshot/snapshot_protects
-// triple (Snapshot is void). The ScanCursor, the background reclaimer and
-// the waste watchdog all dispatch on the trait (smr.hpp's capability
-// split); Config::validate_snapshot_free rejects a nonzero scan_quantum.
+// triple (Snapshot is void). The background reclaimer and the waste
+// watchdog dispatch on the trait (smr.hpp's capability split), the
+// foreground on the shadowed empty() below, so the reclamation engine's
+// cursor never runs; Config::validate_snapshot_free rejects a nonzero
+// scan_quantum.
 //
 // Wasted-memory bound: none. A thread stalled *inside* an operation
 // receives a reference to every batch handed over while it stalls and
@@ -79,7 +81,7 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
 
   /// No snapshot triple (see the capability split in smr.hpp): naming the
   /// type is a substitution failure in SnapshotReclaimable, and every
-  /// snapshot consumer is `if constexpr`-discarded on kSnapshotFree.
+  /// snapshot consumer is `if constexpr`-discarded for this scheme.
   using Snapshot = void;
 
   /// No finite bound: a thread stalled inside an operation pins every
@@ -184,8 +186,9 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
     era_.fetch_add(by, std::memory_order_acq_rel);
   }
 
-  /// Reclamation "pass": hand the caller's whole retired list over as one
-  /// reference-counted batch. O(active threads), no scan.
+  /// Reclamation "pass", shadowing the base's engine pass: hand the
+  /// caller's whole retired list over as one reference-counted batch.
+  /// O(active threads), no scan.
   void empty(int tid) {
     auto& local = this->local(tid);
     if (local.retired.empty()) return;

@@ -34,9 +34,7 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
 
   explicit IBR(const Config& config)
       : Base(config),
-        slots_(std::make_unique<common::Padded<Slot>[]>(config.max_threads)),
-        scratch_(std::make_unique<common::Padded<Scratch>[]>(
-            config.max_threads)) {
+        slots_(std::make_unique<common::Padded<Slot>[]>(config.max_threads)) {
     for (std::size_t t = 0; t < config.max_threads; ++t) {
       slots_[t]->lower.store(kIdle, std::memory_order_relaxed);
       slots_[t]->upper.store(kIdle, std::memory_order_relaxed);
@@ -178,12 +176,6 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     return false;
   }
 
-  void empty(int tid) {
-    auto& snapshot = scratch_[tid]->snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> lower;
@@ -191,13 +183,9 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     // Owner-local mirror of `upper`, avoiding an atomic load per read.
     std::uint64_t cached_upper = kIdle;
   };
-  struct Scratch {
-    Snapshot snapshot;
-  };
 
   std::atomic<std::uint64_t> global_epoch_{1};
   std::unique_ptr<common::Padded<Slot>[]> slots_;
-  std::unique_ptr<common::Padded<Scratch>[]> scratch_;
 };
 
 }  // namespace mp::smr

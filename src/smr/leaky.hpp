@@ -48,7 +48,9 @@ class Leaky : public detail::SchemeBase<Node, Leaky<Node>> {
         tid, refno, src.load(std::memory_order_acquire), src);
   }
 
-  /// Never reclaims; the retired list only drains at teardown.
+  /// Never reclaims; the retired list only drains at teardown. Shadowing
+  /// the base's engine pass also keeps scheduled passes from rescanning a
+  /// list that only grows.
   void empty(int /*tid*/) noexcept {}
 };
 

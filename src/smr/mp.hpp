@@ -401,7 +401,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   /// One collected view of every thread's announcement: active margin
   /// intervals (with the announcing thread's epoch, Theorem 4.2's filter)
   /// plus the paired hazard slots, sorted for binary search. Collected
-  /// once per empty() — or once per reclaimer wakeup for ALL queued
+  /// once per foreground pass — or once per reclaimer wakeup for ALL queued
   /// batches (§6's snapshot optimization, amortized further).
   struct Snapshot {
     struct MarginEntry {
@@ -474,12 +474,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     return false;
   }
 
-  void empty(int tid) {
-    auto& snapshot = owner_[tid]->snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
-  }
-
  private:
   struct Slots {
     std::atomic<std::uint32_t> margins[kMaxSlotsPerThread];
@@ -499,7 +493,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     // capped at kUseHp - 1 so a USE_HP-range tag never matches.
     std::uint32_t cover_lo[kMaxSlotsPerThread];
     std::uint32_t cover_hi[kMaxSlotsPerThread];
-    Snapshot snapshot;
   };
 
   /// Saturating bounds of the protection interval around an announced

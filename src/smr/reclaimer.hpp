@@ -49,6 +49,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -58,6 +59,48 @@
 #include "smr/stats.hpp"
 
 namespace mp::smr {
+
+namespace detail {
+
+/// Config::scan_quantum as a step bound: 0 means one unbounded step.
+constexpr std::uint64_t step_quantum(std::uint64_t scan_quantum) noexcept {
+  return scan_quantum == 0 ? std::numeric_limits<std::uint64_t>::max()
+                           : scan_quantum;
+}
+
+/// The reclamation engine's one filter step (DESIGN.md §12), shared by the
+/// foreground ScanCursor and the background pass. `list` is partitioned
+/// into three regions:
+///   [0, pos)       survivors this pass (protected when examined)
+///   [pos, limit)   retired before the snapshot, not yet examined
+///   [limit, size)  retired after the snapshot — the next pass's input
+/// Examines at most `quantum` nodes of [pos, limit): protected ones stay as
+/// survivors, the rest are swap-removed in O(1) — the hole takes the last
+/// unexamined node, whose slot takes the overall tail (both moves
+/// degenerate to self-assignment at the boundaries) — and handed to
+/// `free`. Returns the number of nodes examined.
+template <typename Node, typename Protects, typename Free>
+std::uint64_t filter_step(std::vector<Node*>& list, std::size_t& pos,
+                          std::size_t& limit, std::uint64_t quantum,
+                          Protects&& protects, Free&& free) {
+  std::uint64_t examined = 0;
+  while (pos < limit && examined < quantum) {
+    Node* node = list[pos];
+    ++examined;
+    if (protects(node)) {
+      ++pos;
+      continue;
+    }
+    list[pos] = list[limit - 1];
+    list[limit - 1] = list.back();
+    list.pop_back();
+    --limit;
+    free(node);
+  }
+  return examined;
+}
+
+}  // namespace detail
 
 /// One producer's retired list, handed over wholesale. `origin` names the
 /// producing tid forever: after a scan the emptied shell is CASed back into
@@ -76,7 +119,7 @@ class BackgroundReclaimer {
                       ThreadStats& bg_stats)
       : scheme_(scheme),
         poll_ms_(config.reclaim_poll_ms),
-        quantum_(config.scan_quantum),
+        quantum_(detail::step_quantum(config.scan_quantum)),
         bg_stats_(bg_stats),
         thread_([this] { run(); }) {}
 
@@ -210,10 +253,10 @@ class BackgroundReclaimer {
 
   /// One wakeup: drain the queue, adopt orphans, take ONE protection
   /// snapshot, scan everything against it. Serialized with drain_pending()
-  /// by pass_mutex_. With Config::scan_quantum set, the backlog scan runs
-  /// in quantum-bounded chunks and yields pass_mutex_ between them, so a
-  /// concurrent drain_pending()/stop interleaves at a chunk boundary
-  /// instead of waiting out the whole pass (DESIGN.md §12).
+  /// by pass_mutex_. The scan runs in quantum-bounded chunks and yields
+  /// pass_mutex_ between them, so a concurrent drain_pending()/stop
+  /// interleaves at a chunk boundary instead of waiting out the whole pass
+  /// (DESIGN.md §12); at scan_quantum 0 the one chunk covers everything.
   void pass() {
     std::unique_lock<std::mutex> lock(pass_mutex_);
     // A chunked pass on another thread (force_pass vs. the reclaimer
@@ -266,70 +309,54 @@ class BackgroundReclaimer {
       scheme_.collect_snapshot(snapshot);
       bg_stats_.bump(bg_stats_.bg_snapshots);
       bg_stats_.bump_max(bg_stats_.peak_inflight, inflight());
-      if (quantum_ == 0) {
-        // Legacy monolithic pass: one uninterrupted scan under the mutex.
-        std::uint64_t freed = 0;
-        if (!backlog_.empty()) {
-          freed += scan_backlog(snapshot);
-        }
-        while (batch != nullptr) {
-          RetiredBatch<Node>* next = batch->next;
-          freed += scan_batch(batch, snapshot);
-          batch = next;
-        }
-        if (freed != 0) inflight_.fetch_sub(freed, std::memory_order_relaxed);
-        return;
-      }
       chunked_scan(lock, batch, snapshot);
     }
   }
 
-  /// Deamortized arm of pass(): splice every queued batch into the backlog
-  /// (all of those nodes predate the snapshot — release push / acquire
-  /// exchange), then compact the backlog in chunks of <= quantum_ nodes,
-  /// dropping and re-taking pass_mutex_ between chunks. New offloads land
-  /// in queue_ (picked up by the NEXT pass), so only drain_pending() can
-  /// mutate the backlog at a yield point — detected via backlog_gen_.
-  /// Templated on the snapshot type (not `typename Scheme::Snapshot`
-  /// directly): snapshot-free schemes define Snapshot = void, and a void
-  /// parameter in a member declaration would be ill-formed at class
-  /// instantiation even though the function is never called.
+  /// The snapshot arm of pass(): splice every queued batch into the
+  /// backlog (all of those nodes predate the snapshot — release push /
+  /// acquire exchange), then filter the backlog with the engine's step in
+  /// chunks of <= quantum_ nodes, dropping and re-taking pass_mutex_
+  /// between chunks. New offloads land in queue_ (picked up by the NEXT
+  /// pass), so only drain_pending() can mutate the backlog at a yield
+  /// point — detected via backlog_gen_. Templated on the snapshot type (not
+  /// `typename Scheme::Snapshot` directly): snapshot-free schemes define
+  /// Snapshot = void, and a void parameter in a member declaration would
+  /// be ill-formed at class instantiation even though the function is
+  /// never called.
   template <typename Snapshot>
   void chunked_scan(std::unique_lock<std::mutex>& lock,
                     RetiredBatch<Node>* batch, const Snapshot& snapshot) {
+    // bg_scans: each batch filtered under this snapshot counts one, and so
+    // does the carried backlog — bg_scans / bg_snapshots is the snapshot
+    // amortization at every quantum.
+    std::uint64_t scans = backlog_.empty() ? 0 : 1;
     while (batch != nullptr) {
       RetiredBatch<Node>* next = batch->next;
       backlog_.insert(backlog_.end(), batch->nodes.begin(),
                       batch->nodes.end());
       scheme_.recycle_batch_shell(batch);
       batch = next;
+      ++scans;
     }
+    bg_stats_.bump(bg_stats_.bg_scans, scans);
     const std::uint64_t generation = backlog_gen_;
-    // Three-region compaction, same scheme as the foreground ScanCursor:
-    // [0, pos) survivors, [pos, limit) unexamined, [limit, size) unused
-    // here (drain_pending is the only other backlog writer and it aborts
-    // the pass). Each free is an O(1) swap-remove.
+    // [limit, size) stays empty here: drain_pending is the only other
+    // backlog writer and it aborts the pass.
     std::size_t pos = 0;
     std::size_t limit = backlog_.size();
     const std::uint64_t scanned = limit;
-    while (pos < limit) {
-      std::uint64_t examined = 0;
-      std::uint64_t freed = 0;
-      while (pos < limit && examined < quantum_) {
-        Node* node = backlog_[pos];
-        ++examined;
-        if (scheme_.snapshot_protects(node, snapshot)) {
-          ++pos;
-        } else {
-          backlog_[pos] = backlog_[limit - 1];
-          backlog_[limit - 1] = backlog_.back();
-          backlog_.pop_back();
-          --limit;
-          scheme_.bg_free(node);
-          ++freed;
-        }
+    while (true) {
+      const std::size_t before = limit;
+      const std::uint64_t examined = detail::filter_step(
+          backlog_, pos, limit, quantum_,
+          [&](const Node* node) {
+            return scheme_.snapshot_protects(node, snapshot);
+          },
+          [&](Node* node) { scheme_.bg_free(node); });
+      if (limit != before) {
+        inflight_.fetch_sub(before - limit, std::memory_order_relaxed);
       }
-      if (freed != 0) inflight_.fetch_sub(freed, std::memory_order_relaxed);
       bg_stats_.bump(bg_stats_.scan_increments);
       scheme_.bg_trace(obs::TraceEvent::kScanStep, examined);
       if (pos >= limit) break;
@@ -342,51 +369,12 @@ class BackgroundReclaimer {
         return;  // drained or stopping; whatever remains is theirs
       }
     }
-    bg_stats_.bump(bg_stats_.bg_scans);
     scheme_.bg_trace(obs::TraceEvent::kBgScan, scanned);
-  }
-
-  /// In-place compaction of the carried-over backlog against `snapshot`.
-  template <typename Snapshot>
-  std::uint64_t scan_backlog(const Snapshot& snapshot) {
-    std::size_t keep = 0;
-    for (Node* node : backlog_) {
-      if (scheme_.snapshot_protects(node, snapshot)) {
-        backlog_[keep++] = node;
-      } else {
-        scheme_.bg_free(node);
-      }
-    }
-    const std::uint64_t freed = backlog_.size() - keep;
-    backlog_.resize(keep);
-    bg_stats_.bump(bg_stats_.bg_scans);
-    scheme_.bg_trace(obs::TraceEvent::kBgScan, keep + freed);
-    return freed;
-  }
-
-  /// Scan one queued batch: free what the snapshot permits, park the
-  /// survivors in the backlog, recycle the emptied shell to its producer.
-  template <typename Snapshot>
-  std::uint64_t scan_batch(RetiredBatch<Node>* batch,
-                           const Snapshot& snapshot) {
-    std::uint64_t freed = 0;
-    for (Node* node : batch->nodes) {
-      if (scheme_.snapshot_protects(node, snapshot)) {
-        backlog_.push_back(node);
-      } else {
-        scheme_.bg_free(node);
-        ++freed;
-      }
-    }
-    bg_stats_.bump(bg_stats_.bg_scans);
-    scheme_.bg_trace(obs::TraceEvent::kBgScan, batch->nodes.size());
-    scheme_.recycle_batch_shell(batch);
-    return freed;
   }
 
   Scheme& scheme_;
   const std::uint32_t poll_ms_;
-  /// Config::scan_quantum: 0 = monolithic passes, else chunk size.
+  /// Chunk size: Config::scan_quantum, unbounded when that is 0.
   const std::uint64_t quantum_;
   /// The reclaimer thread's own stats shard (single-writer: this thread,
   /// plus construction-time zeroes). Producer counters stay on the

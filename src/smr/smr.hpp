@@ -67,8 +67,9 @@ using OpGuard = detail::OpGuard<Scheme>;
 /// make_link) plus the base-layer extensions every scheme inherits — the
 /// typed-handle factory, the detach protocol, the epoch/waste
 /// introspection hooks, and the per-thread reclamation entry point
-/// (empty). Deliberately says nothing about HOW a scheme reclaims: that is
-/// the capability axis below.
+/// (empty: the base runs one full pass of the reclamation engine; a
+/// scheme that reclaims otherwise shadows it). Deliberately says nothing
+/// about HOW a scheme reclaims: that is the capability axis below.
 template <typename S>
 concept SmrSchemeCore =
     requires(S s, const S cs, typename S::node_type* node,
@@ -98,14 +99,15 @@ concept SmrSchemeCore =
       // build arms (it reports the scheme's own protection state and has
       // no oracle dependency), so the concept holds with SMR_ORACLE OFF.
       { cs.oracle_covers(tid, cnode) } -> std::same_as<bool>;
-      // Per-thread reclamation pass — a snapshot scan or a snapshot-free
-      // handover, the caller doesn't care.
+      // Per-thread reclamation pass — the engine's snapshot filter or a
+      // snapshot-free handover, the caller doesn't care.
       { s.empty(tid) };
     };
 
-/// The snapshot-scan capability (reclaimer.hpp, the ScanCursor): one
-/// hazard/epoch snapshot, collectable from a const scheme and reusable
-/// across many retired-batch scans. Snapshot-free schemes (Hyaline) define
+/// The snapshot-scan capability — all a scheme supplies to the reclamation
+/// engine (reclaimer.hpp's filter_step, driven by the foreground ScanCursor
+/// and the background pass): one hazard/epoch snapshot, collectable from a
+/// const scheme and reusable across many retired-batch scans. Snapshot-free schemes (Hyaline) define
 /// `Snapshot = void`, which fails every clause here by substitution — that
 /// is the designed signal, not an error.
 template <typename S>

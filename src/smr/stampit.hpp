@@ -179,11 +179,11 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     snapshot.horizon = horizon_.load(std::memory_order_acquire);
   }
 
-  /// Non-const overload, preferred by the foreground empty(), the scan
-  /// cursor and the background reclaimer (all hold a Scheme&): first reap
-  /// any run of quiescent heads so the horizon is as fresh as a try_lock
-  /// allows — without this a fully-quiescent system's horizon would stay
-  /// stuck at the last promote-on-leave.
+  /// Non-const overload, preferred by the scan cursor and the background
+  /// reclaimer (both hold a Scheme&): first reap any run of quiescent heads
+  /// so the horizon is as fresh as a try_lock allows — without this a
+  /// fully-quiescent system's horizon would stay stuck at the last
+  /// promote-on-leave.
   void collect_snapshot(Snapshot& snapshot) noexcept {
     if (list_mutex_.try_lock()) {
       advance_horizon_locked();
@@ -195,12 +195,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
   bool snapshot_protects(const Node* node,
                          const Snapshot& snapshot) const noexcept {
     return node->smr_header.retire_relaxed() >= snapshot.horizon;
-  }
-
-  void empty(int tid) {
-    Snapshot snapshot;
-    collect_snapshot(snapshot);
-    this->scan_retired_local(tid, snapshot);
   }
 
  private:

@@ -16,41 +16,122 @@
 
 namespace mp::smr {
 
+// The counter table: the one list every per-counter artifact is generated
+// from — ThreadStats and StatsSnapshot fields, the snapshot arithmetic,
+// obs::to_json(StatsSnapshot) and the report validator's required keys
+// (obs/report.hpp). Adding a counter is one row.
+//
+//   X(name, merge, since, scope)
+//     merge  sum: a flow counter. max: a high-water mark — max-merged
+//            across threads, and a delta keeps the left-hand (later) value.
+//     since  report version from which validate_report requires the JSON
+//            key; 0 = emitted but never required.
+//     scope  thread: a ThreadStats field too. snapshot: StatsSnapshot only.
+//
+// Row order is ThreadStats' field order (the counters every read touches
+// come first, so they share the record's first cache lines) and the JSON
+// key order.
+//
+// Meanings worth spelling out:
+//   retired_sum/retired_samples  retired-list sizes sampled at start_op
+//                                (Fig 6: avg_retired() is their ratio).
+//   peak_retired     highest per-thread retired-list size (Theorem 4.2's
+//                    bound is per thread, hence max-merged).
+//   orphaned/adopted nodes handed over at detach() / taken over by
+//                    survivors. The allocation identity extends to
+//                    retires == reclaims + drained + pending, where pending
+//                    counts local retired lists and the orphan pool.
+//   pool_*           node-pool traffic (pool.hpp); all zero with the pool
+//                    off. depot_exchanges counts whole-magazine transfers.
+//   unlinked_frees   never-linked nodes freed by delete_unlinked(tid, node):
+//                    allocs == reclaims + unlinked + drained (+ pending).
+//   offloaded, inline_fallbacks, peak_inflight
+//                    background arm, producer side (reclaimer.hpp): nodes
+//                    handed over, backpressure inline passes, and the
+//                    queued+backlog high-water the watchdog's in-flight
+//                    bound checks. All zero in the foreground arm.
+//   bg_snapshots, bg_scans
+//                    background arm, reclaimer side: protection snapshots
+//                    taken, and retired sets filtered under them — each
+//                    queued batch counts one, the carried backlog one — so
+//                    bg_scans / bg_snapshots >= 1 measures snapshot
+//                    amortization at every scan_quantum.
+//   scan_increments  reclamation engine steps (DESIGN.md §12), foreground
+//                    cursor and background chunks alike. At scan_quantum 0
+//                    every pass is one step, so a foreground-only run has
+//                    scan_increments == empties.
+//   cursor_carryover nodes a step left unexamined for the next one, summed
+//                    over steps — an amortization measure, not a
+//                    population; always 0 at scan_quantum 0.
+//   max_pause_ns     longest single reclamation increment, at every
+//                    quantum, so an amortized-vs-deamortized A/B reads it.
+//   drained          nodes freed by drain(). Kept apart from `reclaims`:
+//                    drain runs on one thread over every thread's list, so
+//                    bumping per-thread records would break their
+//                    single-writer contract.
+#define MP_SMR_COUNTERS(X)                                                \
+  X(fences,            sum, 1, thread)   /* seq_cst fences issued */      \
+  X(reads,             sum, 1, thread)   /* SMR read() calls */           \
+  X(slow_protects,     sum, 0, thread)   /* protection-slot writes */     \
+  X(hp_fallbacks,      sum, 0, thread)   /* MP reads served via HP */     \
+  X(allocs,            sum, 1, thread)                                    \
+  X(retires,           sum, 1, thread)                                    \
+  X(reclaims,          sum, 1, thread)   /* nodes actually freed */       \
+  X(drained,           sum, 1, snapshot)                                  \
+  X(empties,           sum, 1, thread)   /* scheduled passes */           \
+  X(retired_sum,       sum, 0, thread)                                    \
+  X(retired_samples,   sum, 0, thread)                                    \
+  X(index_collisions,  sum, 0, thread)   /* MP allocs forced to USE_HP */ \
+  X(peak_retired,      max, 1, thread)                                    \
+  X(emergency_empties, sum, 1, thread)   /* soft-cap passes */            \
+  X(orphaned,          sum, 2, thread)                                    \
+  X(adopted,           sum, 2, thread)                                    \
+  X(pool_hits,         sum, 3, thread)                                    \
+  X(pool_misses,       sum, 3, thread)                                    \
+  X(depot_exchanges,   sum, 3, thread)                                    \
+  X(unlinked_frees,    sum, 3, thread)                                    \
+  X(offloaded,         sum, 4, thread)                                    \
+  X(inline_fallbacks,  sum, 4, thread)                                    \
+  X(bg_snapshots,      sum, 4, thread)                                    \
+  X(bg_scans,          sum, 4, thread)                                    \
+  X(peak_inflight,     max, 4, thread)                                    \
+  X(scan_increments,   sum, 7, thread)                                    \
+  X(cursor_carryover,  sum, 7, thread)                                    \
+  X(max_pause_ns,      max, 7, thread)
+
+namespace stats_detail {
+
+inline void merge_sum(std::uint64_t& into, std::uint64_t value) noexcept {
+  into += value;
+}
+inline void merge_max(std::uint64_t& into, std::uint64_t value) noexcept {
+  into = std::max(into, value);
+}
+
+/// Snapshot delta of one counter. Counters are monotonic, so when rhs is an
+/// earlier snapshot of the same scheme it is a prefix of lhs; anything else
+/// (different instances, swapped operands) saturates at 0 instead of
+/// wrapping near 2^64, and debug builds assert the prefix invariant.
+inline std::uint64_t delta_sum(std::uint64_t lhs, std::uint64_t rhs) noexcept {
+  assert(lhs >= rhs && "StatsSnapshot subtraction: rhs is not a prefix");
+  return lhs >= rhs ? lhs - rhs : 0;
+}
+/// High-water marks are not differentiable: keep the later value.
+inline std::uint64_t delta_max(std::uint64_t lhs, std::uint64_t) noexcept {
+  return lhs;
+}
+
+}  // namespace stats_detail
+
+// Scope dispatch for the table's last column.
+#define MP_SMR_IF_thread(...) __VA_ARGS__
+#define MP_SMR_IF_snapshot(...)
+
 struct ThreadStats {
-  std::atomic<std::uint64_t> fences{0};        ///< seq_cst fences issued
-  std::atomic<std::uint64_t> reads{0};         ///< SMR read() calls
-  std::atomic<std::uint64_t> slow_protects{0}; ///< protection-slot writes
-  std::atomic<std::uint64_t> hp_fallbacks{0};  ///< MP reads served via HP path
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> retires{0};
-  std::atomic<std::uint64_t> reclaims{0};      ///< nodes actually freed
-  std::atomic<std::uint64_t> empties{0};       ///< empty() invocations
-  std::atomic<std::uint64_t> retired_sum{0};   ///< sum of retired-list sizes…
-  std::atomic<std::uint64_t> retired_samples{0}; ///< …sampled at start_op
-  std::atomic<std::uint64_t> index_collisions{0}; ///< MP allocs forced to USE_HP
-  std::atomic<std::uint64_t> peak_retired{0};  ///< retired-list high-water mark
-  std::atomic<std::uint64_t> emergency_empties{0}; ///< soft-cap empty() passes
-  std::atomic<std::uint64_t> orphaned{0};      ///< nodes handed over at detach()
-  std::atomic<std::uint64_t> adopted{0};       ///< orphan nodes taken over
-  // Node-pool traffic (pool.hpp). Kept after the hot counters so the
-  // fields touched by every read stay within the record's first lines.
-  std::atomic<std::uint64_t> pool_hits{0};     ///< allocs served by the magazine
-  std::atomic<std::uint64_t> pool_misses{0};   ///< magazine empty: depot/malloc
-  std::atomic<std::uint64_t> depot_exchanges{0}; ///< magazine<->depot transfers
-  std::atomic<std::uint64_t> unlinked_frees{0}; ///< delete_unlinked(tid) frees
-  // Background-reclaim traffic (reclaimer.hpp). Producer-side counters
-  // (offloaded, inline_fallbacks, peak_inflight) live on the retiring
-  // thread's shard; the reclaimer thread owns its own shard for the
-  // bg_* counters, preserving the single-writer contract.
-  std::atomic<std::uint64_t> offloaded{0};     ///< nodes handed to the reclaimer
-  std::atomic<std::uint64_t> inline_fallbacks{0}; ///< backpressure inline passes
-  std::atomic<std::uint64_t> bg_snapshots{0};  ///< reclaimer protection snapshots
-  std::atomic<std::uint64_t> bg_scans{0};      ///< batches scanned per snapshot
-  std::atomic<std::uint64_t> peak_inflight{0}; ///< queued+backlog high-water
-  // Deamortized reclamation (Config::scan_quantum, DESIGN.md §12).
-  std::atomic<std::uint64_t> scan_increments{0}; ///< bounded cursor/chunk steps
-  std::atomic<std::uint64_t> cursor_carryover{0}; ///< nodes left unexamined at a yield
-  std::atomic<std::uint64_t> max_pause_ns{0};  ///< longest single reclamation pause
+#define MP_SMR_X(name, merge, since, scope) \
+  MP_SMR_IF_##scope(std::atomic<std::uint64_t> name{0};)
+  MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
 
   void bump(std::atomic<std::uint64_t>& counter,
             std::uint64_t by = 1) noexcept {
@@ -69,179 +150,36 @@ struct ThreadStats {
 
 /// Plain aggregate of ThreadStats, for reporting.
 struct StatsSnapshot {
-  std::uint64_t fences = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t slow_protects = 0;
-  std::uint64_t hp_fallbacks = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t retires = 0;
-  std::uint64_t reclaims = 0;
-  std::uint64_t empties = 0;
-  std::uint64_t retired_sum = 0;
-  std::uint64_t retired_samples = 0;
-  std::uint64_t index_collisions = 0;
-  /// Highest per-thread retired-list high-water among aggregated threads
-  /// (max-merged, not summed: Theorem 4.2's bound is per thread).
-  std::uint64_t peak_retired = 0;
-  std::uint64_t emergency_empties = 0;
-  /// Thread-lifecycle pair: nodes a departing thread handed to the orphan
-  /// pool at detach(), and orphan nodes surviving threads took over. The
-  /// allocation identity extends to
-  ///   retires == reclaims + drained + pending,
-  /// where pending counts both local retired lists and the orphan pool
-  /// (orphaned - adopted nodes still awaiting adoption).
-  std::uint64_t orphaned = 0;
-  std::uint64_t adopted = 0;
-  /// Node-pool traffic (pool.hpp): magazine hits/misses on alloc, and
-  /// whole-magazine exchanges with the global depot (either direction).
-  /// All zero when the pool is disabled.
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t depot_exchanges = 0;
-  /// Never-linked nodes freed through delete_unlinked(tid, node). Part of
-  /// the allocation identity: allocs == reclaims + unlinked + drained (+
-  /// pending) once quiescent.
-  std::uint64_t unlinked_frees = 0;
-  /// Background-reclaim traffic (reclaimer.hpp): nodes whole-batch handed
-  /// to the background thread at empty_freq boundaries, inline emergency
-  /// passes forced by queue backpressure, protection snapshots the
-  /// reclaimer took, and batches scanned against those snapshots
-  /// (bg_scans / bg_snapshots >= 1 measures snapshot amortization).
-  /// All zero in the foreground arm.
-  std::uint64_t offloaded = 0;
-  std::uint64_t inline_fallbacks = 0;
-  std::uint64_t bg_snapshots = 0;
-  std::uint64_t bg_scans = 0;
-  /// Highest queued+backlog node count observed at any enqueue (max-merged
-  /// like peak_retired: it is a high-water mark, not a flow counter). The
-  /// watchdog's in-flight bound (reclaim_inflight_cap + T * per-thread
-  /// bound) checks against this.
-  std::uint64_t peak_inflight = 0;
-  /// Deamortized reclamation (Config::scan_quantum != 0): bounded scan
-  /// steps taken (foreground cursor steps plus background chunks), nodes a
-  /// yielding cursor step left unexamined for the next increment (summed
-  /// over yields — an amortization measure, not a population), and the
-  /// longest single reclamation pause in nanoseconds (max-merged like the
-  /// other high-water marks; also recorded for monolithic passes, so an
-  /// amortized-vs-deamortized A/B reads it directly).
-  std::uint64_t scan_increments = 0;
-  std::uint64_t cursor_carryover = 0;
-  std::uint64_t max_pause_ns = 0;
-  /// Nodes freed by drain() (teardown / between bench phases). Kept apart
-  /// from `reclaims`: drain runs on one thread over every thread's retired
-  /// list, so bumping the per-thread reclaim counters would violate their
-  /// single-writer contract.
-  std::uint64_t drained = 0;
+#define MP_SMR_X(name, merge, since, scope) std::uint64_t name = 0;
+  MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
 
   StatsSnapshot& operator+=(const ThreadStats& t) noexcept {
-    fences += t.fences.load(std::memory_order_relaxed);
-    reads += t.reads.load(std::memory_order_relaxed);
-    slow_protects += t.slow_protects.load(std::memory_order_relaxed);
-    hp_fallbacks += t.hp_fallbacks.load(std::memory_order_relaxed);
-    allocs += t.allocs.load(std::memory_order_relaxed);
-    retires += t.retires.load(std::memory_order_relaxed);
-    reclaims += t.reclaims.load(std::memory_order_relaxed);
-    empties += t.empties.load(std::memory_order_relaxed);
-    retired_sum += t.retired_sum.load(std::memory_order_relaxed);
-    retired_samples += t.retired_samples.load(std::memory_order_relaxed);
-    index_collisions += t.index_collisions.load(std::memory_order_relaxed);
-    peak_retired = std::max(
-        peak_retired, t.peak_retired.load(std::memory_order_relaxed));
-    emergency_empties +=
-        t.emergency_empties.load(std::memory_order_relaxed);
-    orphaned += t.orphaned.load(std::memory_order_relaxed);
-    adopted += t.adopted.load(std::memory_order_relaxed);
-    pool_hits += t.pool_hits.load(std::memory_order_relaxed);
-    pool_misses += t.pool_misses.load(std::memory_order_relaxed);
-    depot_exchanges += t.depot_exchanges.load(std::memory_order_relaxed);
-    unlinked_frees += t.unlinked_frees.load(std::memory_order_relaxed);
-    offloaded += t.offloaded.load(std::memory_order_relaxed);
-    inline_fallbacks += t.inline_fallbacks.load(std::memory_order_relaxed);
-    bg_snapshots += t.bg_snapshots.load(std::memory_order_relaxed);
-    bg_scans += t.bg_scans.load(std::memory_order_relaxed);
-    peak_inflight = std::max(
-        peak_inflight, t.peak_inflight.load(std::memory_order_relaxed));
-    scan_increments += t.scan_increments.load(std::memory_order_relaxed);
-    cursor_carryover += t.cursor_carryover.load(std::memory_order_relaxed);
-    max_pause_ns = std::max(
-        max_pause_ns, t.max_pause_ns.load(std::memory_order_relaxed));
+#define MP_SMR_X(name, merge, since, scope)        \
+  MP_SMR_IF_##scope(stats_detail::merge_##merge(   \
+      name, t.name.load(std::memory_order_relaxed));)
+    MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
     return *this;
   }
 
   /// Merge another aggregate (e.g. accumulating per-run deltas).
   StatsSnapshot& operator+=(const StatsSnapshot& rhs) noexcept {
-    fences += rhs.fences;
-    reads += rhs.reads;
-    slow_protects += rhs.slow_protects;
-    hp_fallbacks += rhs.hp_fallbacks;
-    allocs += rhs.allocs;
-    retires += rhs.retires;
-    reclaims += rhs.reclaims;
-    empties += rhs.empties;
-    retired_sum += rhs.retired_sum;
-    retired_samples += rhs.retired_samples;
-    index_collisions += rhs.index_collisions;
-    peak_retired = std::max(peak_retired, rhs.peak_retired);
-    emergency_empties += rhs.emergency_empties;
-    orphaned += rhs.orphaned;
-    adopted += rhs.adopted;
-    pool_hits += rhs.pool_hits;
-    pool_misses += rhs.pool_misses;
-    depot_exchanges += rhs.depot_exchanges;
-    unlinked_frees += rhs.unlinked_frees;
-    offloaded += rhs.offloaded;
-    inline_fallbacks += rhs.inline_fallbacks;
-    bg_snapshots += rhs.bg_snapshots;
-    bg_scans += rhs.bg_scans;
-    peak_inflight = std::max(peak_inflight, rhs.peak_inflight);
-    scan_increments += rhs.scan_increments;
-    cursor_carryover += rhs.cursor_carryover;
-    max_pause_ns = std::max(max_pause_ns, rhs.max_pause_ns);
-    drained += rhs.drained;
+#define MP_SMR_X(name, merge, since, scope) \
+  stats_detail::merge_##merge(name, rhs.name);
+    MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
     return *this;
   }
 
-  /// Delta between two snapshots. Counters are monotonic, so when rhs is an
-  /// earlier snapshot of the same scheme every field of rhs is a prefix of
-  /// *this; subtracting snapshots that don't satisfy that (different scheme
-  /// instances, swapped operands) used to wrap the uint64_t fields into
-  /// garbage near 2^64. Each field now saturates at 0, and debug builds
-  /// assert the prefix invariant so misuse is caught at the source.
+  /// Delta between two snapshots: flow counters subtract (saturating),
+  /// high-water marks keep the left-hand value.
   StatsSnapshot operator-(const StatsSnapshot& rhs) const noexcept {
-    const auto sat_sub = [](std::uint64_t a, std::uint64_t b) noexcept {
-      assert(a >= b && "StatsSnapshot subtraction: rhs is not a prefix");
-      return a >= b ? a - b : 0;
-    };
-    StatsSnapshot out = *this;
-    out.fences = sat_sub(fences, rhs.fences);
-    out.reads = sat_sub(reads, rhs.reads);
-    out.slow_protects = sat_sub(slow_protects, rhs.slow_protects);
-    out.hp_fallbacks = sat_sub(hp_fallbacks, rhs.hp_fallbacks);
-    out.allocs = sat_sub(allocs, rhs.allocs);
-    out.retires = sat_sub(retires, rhs.retires);
-    out.reclaims = sat_sub(reclaims, rhs.reclaims);
-    out.empties = sat_sub(empties, rhs.empties);
-    out.retired_sum = sat_sub(retired_sum, rhs.retired_sum);
-    out.retired_samples = sat_sub(retired_samples, rhs.retired_samples);
-    out.index_collisions = sat_sub(index_collisions, rhs.index_collisions);
-    // High-water marks are not differentiable; a delta keeps the lhs peak
-    // (the high-water as of the later snapshot).
-    out.emergency_empties = sat_sub(emergency_empties, rhs.emergency_empties);
-    out.orphaned = sat_sub(orphaned, rhs.orphaned);
-    out.adopted = sat_sub(adopted, rhs.adopted);
-    out.pool_hits = sat_sub(pool_hits, rhs.pool_hits);
-    out.pool_misses = sat_sub(pool_misses, rhs.pool_misses);
-    out.depot_exchanges = sat_sub(depot_exchanges, rhs.depot_exchanges);
-    out.unlinked_frees = sat_sub(unlinked_frees, rhs.unlinked_frees);
-    out.offloaded = sat_sub(offloaded, rhs.offloaded);
-    out.inline_fallbacks = sat_sub(inline_fallbacks, rhs.inline_fallbacks);
-    out.bg_snapshots = sat_sub(bg_snapshots, rhs.bg_snapshots);
-    out.bg_scans = sat_sub(bg_scans, rhs.bg_scans);
-    // peak_inflight is a high-water mark like peak_retired: keep the lhs.
-    out.scan_increments = sat_sub(scan_increments, rhs.scan_increments);
-    out.cursor_carryover = sat_sub(cursor_carryover, rhs.cursor_carryover);
-    // max_pause_ns is a high-water mark: keep the lhs.
-    out.drained = sat_sub(drained, rhs.drained);
+    StatsSnapshot out;
+#define MP_SMR_X(name, merge, since, scope) \
+  out.name = stats_detail::delta_##merge(name, rhs.name);
+    MP_SMR_COUNTERS(MP_SMR_X)
+#undef MP_SMR_X
     return out;
   }
 
@@ -253,6 +191,9 @@ struct StatsSnapshot {
                      static_cast<double>(retired_samples);
   }
 };
+
+#undef MP_SMR_IF_thread
+#undef MP_SMR_IF_snapshot
 
 /// Issue a sequentially consistent fence and account for it. Every fence on
 /// an SMR hot path in this library goes through here so that Fig 5 counts

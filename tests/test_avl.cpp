@@ -28,22 +28,22 @@ TYPED_TEST_SUITE(AvlTest, mp::test::AllSchemeTags, mp::test::SchemeTagNames);
 
 TYPED_TEST(AvlTest, EmptyBehaviour) {
   auto tree = this->make();
-  EXPECT_FALSE(tree.contains(0, 1));
-  EXPECT_FALSE(tree.remove(0, 1));
+  EXPECT_FALSE(tree.contains(tree.scheme().handle(0), 1));
+  EXPECT_FALSE(tree.remove(tree.scheme().handle(0), 1));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.validate());
 }
 
 TYPED_TEST(AvlTest, InsertContainsRemove) {
   auto tree = this->make();
-  EXPECT_TRUE(tree.insert(0, 5, 50));
-  EXPECT_FALSE(tree.insert(0, 5, 51));
-  EXPECT_TRUE(tree.contains(0, 5));
+  EXPECT_TRUE(tree.insert(tree.scheme().handle(0), 5, 50));
+  EXPECT_FALSE(tree.insert(tree.scheme().handle(0), 5, 51));
+  EXPECT_TRUE(tree.contains(tree.scheme().handle(0), 5));
   std::uint64_t value = 0;
-  EXPECT_TRUE(tree.get(0, 5, value));
+  EXPECT_TRUE(tree.get(tree.scheme().handle(0), 5, value));
   EXPECT_EQ(value, 50u);
-  EXPECT_TRUE(tree.remove(0, 5));
-  EXPECT_FALSE(tree.remove(0, 5));
+  EXPECT_TRUE(tree.remove(tree.scheme().handle(0), 5));
+  EXPECT_FALSE(tree.remove(tree.scheme().handle(0), 5));
   EXPECT_EQ(tree.size(), 0u);
 }
 
@@ -52,7 +52,7 @@ TYPED_TEST(AvlTest, AscendingInsertsStayBalanced) {
   // checks AVL balance, order, and height bookkeeping.
   auto tree = this->make();
   for (std::uint64_t key = 1; key <= 512; ++key) {
-    ASSERT_TRUE(tree.insert(0, key, key));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key, key));
     ASSERT_TRUE(tree.validate()) << "after inserting " << key;
   }
   EXPECT_EQ(tree.size(), 512u);
@@ -61,7 +61,7 @@ TYPED_TEST(AvlTest, AscendingInsertsStayBalanced) {
 TYPED_TEST(AvlTest, DescendingInsertsStayBalanced) {
   auto tree = this->make();
   for (std::uint64_t key = 512; key >= 1; --key) {
-    ASSERT_TRUE(tree.insert(0, key, key));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key, key));
   }
   EXPECT_TRUE(tree.validate());
   EXPECT_EQ(tree.size(), 512u);
@@ -72,8 +72,8 @@ TYPED_TEST(AvlTest, ZigZagInsertsTriggerDoubleRotations) {
   // Interleave from both ends toward the middle: lots of LR/RL cases.
   std::uint64_t lo = 1, hi = 1000;
   while (lo < hi) {
-    ASSERT_TRUE(tree.insert(0, hi, hi));
-    ASSERT_TRUE(tree.insert(0, lo, lo));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), hi, hi));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), lo, lo));
     ASSERT_TRUE(tree.validate());
     ++lo;
     --hi;
@@ -83,9 +83,11 @@ TYPED_TEST(AvlTest, ZigZagInsertsTriggerDoubleRotations) {
 
 TYPED_TEST(AvlTest, RemovalsRebalance) {
   auto tree = this->make();
-  for (std::uint64_t key = 1; key <= 300; ++key) tree.insert(0, key, key);
+  for (std::uint64_t key = 1; key <= 300; ++key) {
+    tree.insert(tree.scheme().handle(0), key, key);
+  }
   for (std::uint64_t key = 1; key <= 300; key += 3) {
-    ASSERT_TRUE(tree.remove(0, key));
+    ASSERT_TRUE(tree.remove(tree.scheme().handle(0), key));
     ASSERT_TRUE(tree.validate()) << "after removing " << key;
   }
   EXPECT_EQ(tree.size(), 200u);
@@ -94,13 +96,14 @@ TYPED_TEST(AvlTest, RemovalsRebalance) {
 TYPED_TEST(AvlTest, RemoveRootWithTwoChildren) {
   auto tree = this->make();
   for (std::uint64_t key : {50, 30, 70, 20, 40, 60, 80}) {
-    tree.insert(0, key, key);
+    tree.insert(tree.scheme().handle(0), key, key);
   }
-  EXPECT_TRUE(tree.remove(0, 50));  // root; successor is 60
+  // The root; its successor is 60.
+  EXPECT_TRUE(tree.remove(tree.scheme().handle(0), 50));
   EXPECT_TRUE(tree.validate());
-  EXPECT_FALSE(tree.contains(0, 50));
+  EXPECT_FALSE(tree.contains(tree.scheme().handle(0), 50));
   for (std::uint64_t key : {30, 70, 20, 40, 60, 80}) {
-    EXPECT_TRUE(tree.contains(0, key));
+    EXPECT_TRUE(tree.contains(tree.scheme().handle(0), key));
   }
 }
 
@@ -111,7 +114,9 @@ TYPED_TEST(AvlTest, ReferenceModelAgreement) {
 
 TYPED_TEST(AvlTest, ConcurrentReadersDuringWrites) {
   auto tree = this->make(4);
-  for (std::uint64_t key = 2; key <= 2000; key += 2) tree.insert(0, key, key);
+  for (std::uint64_t key = 2; key <= 2000; key += 2) {
+    tree.insert(tree.scheme().handle(0), key, key);
+  }
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> found{0}, looked{0};
   std::vector<std::thread> readers;
@@ -121,7 +126,7 @@ TYPED_TEST(AvlTest, ConcurrentReadersDuringWrites) {
       std::uint64_t local_found = 0, local_looked = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t key = 1 + rng.next_below(2000);
-        local_found += tree.contains(r, key);
+        local_found += tree.contains(tree.scheme().handle(r), key);
         ++local_looked;
       }
       found.fetch_add(local_found);
@@ -134,9 +139,9 @@ TYPED_TEST(AvlTest, ConcurrentReadersDuringWrites) {
     for (int i = 0; i < 20000; ++i) {
       const std::uint64_t key = 1 + rng.next_below(2000);
       if (rng.next() % 2 == 0) {
-        tree.insert(5, key, key);
+        tree.insert(tree.scheme().handle(5), key, key);
       } else {
-        tree.remove(5, key);
+        tree.remove(tree.scheme().handle(5), key);
       }
     }
     stop.store(true);
@@ -156,8 +161,12 @@ TYPED_TEST(AvlTest, WriterChurnReclaimsCopies) {
   config.epoch_freq = 32;  // tight epoch window for the epoch-based schemes
   typename TestFixture::Tree tree(config);
   for (int round = 0; round < 10; ++round) {
-    for (std::uint64_t key = 1; key <= 100; ++key) tree.insert(0, key, key);
-    for (std::uint64_t key = 1; key <= 100; ++key) tree.remove(0, key);
+    for (std::uint64_t key = 1; key <= 100; ++key) {
+      tree.insert(tree.scheme().handle(0), key, key);
+    }
+    for (std::uint64_t key = 1; key <= 100; ++key) {
+      tree.remove(tree.scheme().handle(0), key);
+    }
   }
   // Path copying allocates heavily; with no concurrent readers, nearly all
   // of it must have been reclaimed (except under the leaky baseline).
@@ -183,7 +192,7 @@ TEST(AvlMp, RotationsPreserveIndices) {
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t key = 1 + rng.next_below(1u << 20);
-    if (tree.insert(0, key, key)) keys.push_back(key);
+    if (tree.insert(tree.scheme().handle(0), key, key)) keys.push_back(key);
   }
   EXPECT_TRUE(tree.validate());
   // Force heavy rebalancing by deleting half the keys; the survivors'
@@ -191,10 +200,10 @@ TEST(AvlMp, RotationsPreserveIndices) {
   // through every rotation — validated indirectly by margin protection
   // still working in the concurrent test above).
   for (std::size_t i = 0; i < keys.size(); i += 2) {
-    ASSERT_TRUE(tree.remove(0, keys[i]));
+    ASSERT_TRUE(tree.remove(tree.scheme().handle(0), keys[i]));
   }
   for (std::size_t i = 1; i < keys.size(); i += 2) {
-    ASSERT_TRUE(tree.contains(0, keys[i]));
+    ASSERT_TRUE(tree.contains(tree.scheme().handle(0), keys[i]));
   }
   EXPECT_TRUE(tree.validate());
 }

@@ -26,8 +26,8 @@ TYPED_TEST_SUITE(HashSetTest, mp::test::AllSchemeTags,
 
 TYPED_TEST(HashSetTest, EmptyBehaviour) {
   auto set = this->make();
-  EXPECT_FALSE(set.contains(0, 10));
-  EXPECT_FALSE(set.remove(0, 10));
+  EXPECT_FALSE(set.contains(set.scheme().handle(0), 10));
+  EXPECT_FALSE(set.remove(set.scheme().handle(0), 10));
   EXPECT_EQ(set.size(), 0u);
   EXPECT_TRUE(set.validate());
 }
@@ -39,26 +39,26 @@ TYPED_TEST(HashSetTest, BucketCountRoundsToPowerOfTwo) {
 
 TYPED_TEST(HashSetTest, InsertContainsRemove) {
   auto set = this->make();
-  EXPECT_TRUE(set.insert(0, 5, 50));
-  EXPECT_FALSE(set.insert(0, 5, 51));
-  EXPECT_TRUE(set.contains(0, 5));
-  EXPECT_FALSE(set.contains(0, 6));
+  EXPECT_TRUE(set.insert(set.scheme().handle(0), 5, 50));
+  EXPECT_FALSE(set.insert(set.scheme().handle(0), 5, 51));
+  EXPECT_TRUE(set.contains(set.scheme().handle(0), 5));
+  EXPECT_FALSE(set.contains(set.scheme().handle(0), 6));
   std::uint64_t value = 0;
-  EXPECT_TRUE(set.get(0, 5, value));
+  EXPECT_TRUE(set.get(set.scheme().handle(0), 5, value));
   EXPECT_EQ(value, 50u);
-  EXPECT_TRUE(set.remove(0, 5));
-  EXPECT_FALSE(set.remove(0, 5));
+  EXPECT_TRUE(set.remove(set.scheme().handle(0), 5));
+  EXPECT_FALSE(set.remove(set.scheme().handle(0), 5));
 }
 
 TYPED_TEST(HashSetTest, ManyKeysSpreadAcrossBuckets) {
   auto set = this->make(16);
   for (std::uint64_t key = 1; key <= 2000; ++key) {
-    ASSERT_TRUE(set.insert(0, key, key));
+    ASSERT_TRUE(set.insert(set.scheme().handle(0), key, key));
   }
   EXPECT_EQ(set.size(), 2000u);
   EXPECT_TRUE(set.validate()) << "per-bucket order and hash placement";
   for (std::uint64_t key = 2; key <= 2000; key += 2) {
-    ASSERT_TRUE(set.remove(0, key));
+    ASSERT_TRUE(set.remove(set.scheme().handle(0), key));
   }
   EXPECT_EQ(set.size(), 1000u);
   EXPECT_TRUE(set.validate());
@@ -67,7 +67,7 @@ TYPED_TEST(HashSetTest, ManyKeysSpreadAcrossBuckets) {
 TYPED_TEST(HashSetTest, SingleBucketDegeneratesToList) {
   auto set = this->make(1);
   for (std::uint64_t key = 1; key <= 200; ++key) {
-    ASSERT_TRUE(set.insert(0, key * 3, key));
+    ASSERT_TRUE(set.insert(set.scheme().handle(0), key * 3, key));
   }
   EXPECT_EQ(set.size(), 200u);
   EXPECT_TRUE(set.validate());
@@ -93,7 +93,8 @@ TEST(HashSetMp, StripedIndicesStayInBucketRange) {
   mp::common::Xoshiro256 rng(11);
   std::size_t inserted = 0;
   while (inserted < 400) {
-    inserted += set.insert(0, 1 + rng.next_below(1u << 24), 1);
+    inserted += set.insert(set.scheme().handle(0),
+                           1 + rng.next_below(1u << 24), 1);
   }
   EXPECT_TRUE(set.validate());
   // Fallback rate should not be total: most inserts land a real midpoint
@@ -107,8 +108,12 @@ TEST(HashSetMp, WasteBoundedUnderChurn) {
   auto config = ds_config(2, Set::kRequiredSlots, 1);
   Set set(config, 16);
   for (int round = 0; round < 20; ++round) {
-    for (std::uint64_t key = 1; key <= 200; ++key) set.insert(0, key, key);
-    for (std::uint64_t key = 1; key <= 200; ++key) set.remove(0, key);
+    for (std::uint64_t key = 1; key <= 200; ++key) {
+      set.insert(set.scheme().handle(0), key, key);
+    }
+    for (std::uint64_t key = 1; key <= 200; ++key) {
+      set.remove(set.scheme().handle(0), key);
+    }
   }
   EXPECT_LE(set.scheme().outstanding(), 2u * 16u + 40u)
       << "sentinels plus a small buffer; churn must not accumulate";

@@ -3,8 +3,12 @@
 //   * one scheduled pass examines at most Config::scan_quantum nodes, the
 //     remainder carries over and completes via per-retire continuation
 //     steps — never a monolithic O(retired) scan inside one operation;
-//   * scan_quantum = 0 keeps the legacy monolithic pass byte-for-byte
-//     (no cursor counters), scan_quantum = 1 is rejected at construction;
+//   * scan_quantum = 0 is one unbounded step of the same engine (one
+//     scan_increment per pass, nothing carried over), scan_quantum = 1 is
+//     rejected at construction;
+//   * the engine is quantum-blind in outcome: a quantum-0 and a quantum-4
+//     pass free exactly the same nodes, in the foreground and the
+//     background arm;
 //   * conservation: retires == reclaims + drained after drain(), with the
 //     cursor active, in both the foreground and background arms;
 //   * survivors pinned mid-pass stay in the carried-over region and are
@@ -23,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -93,8 +98,10 @@ TYPED_TEST(IncrementalScanTest, QuantumZeroKeepsMonolithicPass) {
   }
   const auto stats = scheme.stats_snapshot();
   EXPECT_GT(stats.empties, 0u);
-  EXPECT_EQ(stats.scan_increments, 0u)
-      << "legacy monolithic passes must not report cursor steps";
+  if constexpr (!Scheme::kSnapshotFree) {
+    EXPECT_EQ(stats.scan_increments, stats.empties)
+        << "quantum 0 runs every pass as one unbounded engine step";
+  }
   EXPECT_EQ(stats.cursor_carryover, 0u);
   scheme.drain();
   const auto end = scheme.stats_snapshot();
@@ -162,6 +169,140 @@ TEST(IncrementalScanEbrTest, SurvivorsCarryAcrossStepsUntilQuiescent) {
   const auto end = scheme.stats_snapshot();
   EXPECT_EQ(end.retires, end.reclaims + end.drained);
   EXPECT_EQ(scheme.outstanding(), 0u);
+}
+
+// ---- One engine at every quantum: same survivors in both arms ----
+
+/// Keys of the nodes a scheme frees, recorded through Config::free_hook
+/// (the background arm frees on the reclaimer thread, hence the mutex).
+struct FreedKeys {
+  std::mutex mutex;
+  std::set<std::uint64_t> keys;
+
+  static void hook(void* context, const void* node) {
+    auto& self = *static_cast<FreedKeys*>(context);
+    std::lock_guard<std::mutex> lock(self.mutex);
+    self.keys.insert(static_cast<const TestNode*>(node)->key);
+  }
+  std::set<std::uint64_t> copy() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return keys;
+  }
+};
+
+constexpr std::uint64_t kEquivNodes = 32;
+constexpr std::uint64_t kPinnedKeys[] = {16, 21, 26};
+
+/// Retire keys [0, 16), move the epoch past them, open an operation on tid
+/// 1 that pins three of keys [16, 32) (a hazard, or for epoch schemes the
+/// open operation itself), retire those too, then let `settle` run passes.
+/// Returns the keys freed by then — before teardown drains the rest.
+template <typename Scheme, typename Settle>
+std::set<std::uint64_t> freed_after(Config config, Settle settle) {
+  FreedKeys freed;
+  config.free_hook = &FreedKeys::hook;
+  config.free_hook_context = &freed;
+  Scheme scheme(config);
+  std::vector<TestNode*> nodes;
+  for (std::uint64_t key = 0; key < kEquivNodes; ++key) {
+    nodes.push_back(scheme.alloc(0, key));
+  }
+  for (std::uint64_t key = 0; key < kEquivNodes / 2; ++key) {
+    scheme.retire(0, nodes[key]);
+  }
+  scheme.chaos_advance_epoch(2);
+  scheme.start_op(1);
+  int slot = 0;
+  for (const std::uint64_t key : kPinnedKeys) {
+    scheme.pin(1, slot++, nodes[key]);
+  }
+  for (std::uint64_t key = kEquivNodes / 2; key < kEquivNodes; ++key) {
+    scheme.retire(0, nodes[key]);
+  }
+  settle(scheme, freed);
+  const std::set<std::uint64_t> result = freed.copy();
+  scheme.end_op(1);
+  return result;
+}
+
+template <typename Tag>
+class EngineEquivalenceTest : public ::testing::Test {
+ protected:
+  using Scheme = typename Tag::type;
+
+  static Config with_quantum(Config config, std::uint64_t quantum) {
+    config.scan_quantum = quantum;
+    return config;
+  }
+
+  /// Foreground: empty_freq exceeds the node count, so the only passes are
+  /// `nudges` explicit scheduled increments on tid 0.
+  static std::set<std::uint64_t> foreground(std::uint64_t quantum,
+                                            int nudges) {
+    return freed_after<Scheme>(
+        with_quantum(mp::test::ds_config(2, 4, 2 * kEquivNodes), quantum),
+        [nudges](Scheme& scheme, FreedKeys&) {
+          for (int i = 0; i < nudges; ++i) scheme.reclaim_nudge(0);
+        });
+  }
+
+  /// The quantum-0 foreground outcome, checked against the setup: every
+  /// pre-operation node is freeable, no pinned node is.
+  static std::set<std::uint64_t> reference() {
+    const std::set<std::uint64_t> freed = foreground(0, 1);
+    for (std::uint64_t key = 0; key < kEquivNodes / 2; ++key) {
+      EXPECT_EQ(freed.count(key), 1u) << "unprotected key " << key;
+    }
+    for (const std::uint64_t key : kPinnedKeys) {
+      EXPECT_EQ(freed.count(key), 0u) << "pinned key " << key;
+    }
+    return freed;
+  }
+};
+TYPED_TEST_SUITE(EngineEquivalenceTest, mp::test::ReclaimingSchemeTags,
+                 mp::test::SchemeTagNames);
+
+TYPED_TEST(EngineEquivalenceTest, ForegroundQuantumZeroAndFourFreeTheSame) {
+  using Scheme = typename TestFixture::Scheme;
+  if constexpr (Scheme::kSnapshotFree) {
+    GTEST_SKIP() << "snapshot-free scheme: no engine pass to compare";
+  } else {
+    const auto reference = TestFixture::reference();
+    // 32 nudges: a quantum-4 pass over 32 nodes completes within 8 steps;
+    // later nudges rescan the survivors and must free nothing new.
+    EXPECT_EQ(TestFixture::foreground(4, static_cast<int>(kEquivNodes)),
+              reference);
+  }
+}
+
+TYPED_TEST(EngineEquivalenceTest, BackgroundQuantumZeroAndFourFreeTheSame) {
+  using Scheme = typename TestFixture::Scheme;
+  if constexpr (Scheme::kSnapshotFree) {
+    GTEST_SKIP() << "snapshot-free scheme: no engine pass to compare";
+  } else {
+    const auto reference = TestFixture::reference();
+    // Background: empty_freq 16 offloads each half as one batch. A pass
+    // may run on the reclaimer thread at any point, but every snapshot
+    // taken after the second batch sees the pins, so the arm converges to
+    // a fixed survivor set; force passes until it reaches the reference
+    // (or time out), then force more to show it stays there.
+    const auto settle = [&reference](Scheme& scheme, FreedKeys& freed) {
+      for (int spin = 0; spin < 5000 && freed.copy() != reference; ++spin) {
+        scheme.reclaim_sync();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      for (int i = 0; i < 4; ++i) scheme.reclaim_sync();
+    };
+    for (const std::uint64_t quantum : {0u, 4u}) {
+      Config config = mp::test::ds_config(2, 4, kEquivNodes / 2);
+      config.background_reclaim = true;
+      config.reclaim_poll_ms = 3600 * 1000;
+      EXPECT_EQ(freed_after<Scheme>(TestFixture::with_quantum(config, quantum),
+                                    settle),
+                reference)
+          << "scan_quantum " << quantum;
+    }
+  }
 }
 
 // ---- Background arm: chunked passes at quantum boundaries ----
@@ -336,7 +477,9 @@ TEST(IncrementalScanTortureTest, CursorSurvivesChurnWithBackgroundArm) {
 template <typename DS>
 void expect_get_many_matches_singles(DS& ds) {
   for (std::uint64_t key = 1; key <= 200; ++key) {
-    if (key % 3 != 0) ASSERT_TRUE(ds.insert(0, key, key * 7 + 1));
+    if (key % 3 != 0) {
+      ASSERT_TRUE(ds.insert(ds.scheme().handle(0), key, key * 7 + 1));
+    }
   }
   constexpr std::size_t kBatch = 16;
   std::uint64_t keys[kBatch];
@@ -349,11 +492,12 @@ void expect_get_many_matches_singles(DS& ds) {
       keys[j] = 1 + rng.next_below(240);
       values[j] = 0;
     }
-    const std::size_t hits = ds.get_many(0, keys, kBatch, values, found);
+    const std::size_t hits = ds.get_many(ds.scheme().handle(0),
+                                         keys, kBatch, values, found);
     std::size_t expected_hits = 0;
     for (std::size_t j = 0; j < kBatch; ++j) {
       std::uint64_t single = 0;
-      const bool present = ds.get(0, keys[j], single);
+      const bool present = ds.get(ds.scheme().handle(0), keys[j], single);
       ASSERT_EQ(found[j], present) << "key " << keys[j];
       if (present) {
         ASSERT_EQ(values[j], single) << "key " << keys[j];
@@ -406,16 +550,16 @@ TEST(GetManyChurnTest, OracleCleanUnderConcurrentRemoves) {
   Set set(config, /*buckets=*/32);
   constexpr std::uint64_t kRange = 256;
   for (std::uint64_t key = 1; key <= kRange; ++key) {
-    ASSERT_TRUE(set.insert(0, key, key * 2 + 1));
+    ASSERT_TRUE(set.insert(set.scheme().handle(0), key, key * 2 + 1));
   }
   std::thread writer([&set] {
     mp::common::Xoshiro256 rng(0x57);
     for (int i = 0; i < 20000; ++i) {
       const std::uint64_t key = 1 + rng.next_below(kRange);
       if (i % 2 == 0) {
-        set.remove(1, key);
+        set.remove(set.scheme().handle(1), key);
       } else {
-        set.insert(1, key, key * 2 + 1);
+        set.insert(set.scheme().handle(1), key, key * 2 + 1);
       }
     }
   });
@@ -426,7 +570,7 @@ TEST(GetManyChurnTest, OracleCleanUnderConcurrentRemoves) {
   mp::common::Xoshiro256 rng(0x9D);
   for (int round = 0; round < 2000; ++round) {
     for (std::size_t j = 0; j < kBatch; ++j) keys[j] = 1 + rng.next_below(kRange);
-    set.get_many(0, keys, kBatch, values, found);
+    set.get_many(set.scheme().handle(0), keys, kBatch, values, found);
     for (std::size_t j = 0; j < kBatch; ++j) {
       if (found[j]) {
         // Values are a pure function of the key, so a hit must never

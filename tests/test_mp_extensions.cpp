@@ -137,7 +137,9 @@ TEST(MpIndexPolicy, GoldenRatioSurvivesMoreAscendingInserts) {
     Config config = mp::test::ds_config(2, 4, 8);
     config.index_policy = policy;
     mp::ds::MichaelList<mp::smr::MP> list(config);
-    for (std::uint64_t key = 1; key <= 200; ++key) list.insert(0, key, key);
+    for (std::uint64_t key = 1; key <= 200; ++key) {
+      list.insert(list.scheme().handle(0), key, key);
+    }
     return list.scheme().stats_snapshot().index_collisions;
   };
   const auto midpoint = collisions_for(Config::IndexPolicy::kMidpoint);
@@ -161,9 +163,9 @@ TEST(MpIndexInvariant, MidpointKeepsLinkedIndicesUniqueAndOrdered) {
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t key = 1 + rng.next_below(1u << 16);
     if (rng.next() % 3 == 0) {
-      list.remove(0, key);
+      list.remove(list.scheme().handle(0), key);
     } else {
-      list.insert(0, key, key);
+      list.insert(list.scheme().handle(0), key, key);
     }
   }
   EXPECT_TRUE(list.validate());
@@ -177,16 +179,18 @@ TEST(MpIndexInvariant, GoldenKeepsLinkedIndicesUniqueAndOrdered) {
   config.index_policy = Config::IndexPolicy::kGoldenRatio;
   mp::ds::MichaelList<mp::smr::MP> list(config);
   // Ascending inserts drive the span toward the small-gap regime.
-  for (std::uint64_t key = 1; key <= 1000; ++key) list.insert(0, key, key);
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    list.insert(list.scheme().handle(0), key, key);
+  }
   EXPECT_TRUE(list.validate_indices());
   // And a mixed workload after the collapse.
   mp::common::Xoshiro256 rng(9);
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t key = 1 + rng.next_below(4096);
     if (rng.next() % 2 == 0) {
-      list.insert(0, key, key);
+      list.insert(list.scheme().handle(0), key, key);
     } else {
-      list.remove(0, key);
+      list.remove(list.scheme().handle(0), key);
     }
   }
   EXPECT_TRUE(list.validate());
@@ -200,9 +204,9 @@ TEST(MpIndexInvariant, SkipListIndicesUniqueAndOrdered) {
   for (int i = 0; i < 4000; ++i) {
     const std::uint64_t key = 1 + rng.next_below(1u << 18);
     if (rng.next() % 3 == 0) {
-      sl.remove(0, key);
+      sl.remove(sl.scheme().handle(0), key);
     } else {
-      sl.insert(0, key, key);
+      sl.insert(sl.scheme().handle(0), key, key);
     }
   }
   EXPECT_TRUE(sl.validate());
@@ -216,9 +220,9 @@ TEST(MpIndexInvariant, TreeLeafIndicesUniqueAndOrdered) {
   for (int i = 0; i < 4000; ++i) {
     const std::uint64_t key = 1 + rng.next_below(1u << 18);
     if (rng.next() % 3 == 0) {
-      tree.remove(0, key);
+      tree.remove(tree.scheme().handle(0), key);
     } else {
-      tree.insert(0, key, key);
+      tree.insert(tree.scheme().handle(0), key, key);
     }
   }
   EXPECT_TRUE(tree.validate());
@@ -255,7 +259,8 @@ TEST(MpCollisions, UniformInsertsRarelyCollide) {
   mp::common::Xoshiro256 rng(5);
   std::size_t inserted = 0;
   while (inserted < 1000) {
-    inserted += list.insert(0, 1 + rng.next_below(1u << 30), 1);
+    inserted += list.insert(list.scheme().handle(0),
+                            1 + rng.next_below(1u << 30), 1);
   }
   const auto snapshot = list.scheme().stats_snapshot();
   EXPECT_LT(snapshot.index_collisions, snapshot.allocs / 10)
@@ -267,12 +272,14 @@ TEST(MpCollisions, AscendingInsertsMostlyCollide) {
   // but ~32 nodes get USE_HP.
   Config config = mp::test::ds_config(2, 4, 8);
   mp::ds::MichaelList<mp::smr::MP> list(config);
-  for (std::uint64_t key = 1; key <= 500; ++key) list.insert(0, key, key);
+  for (std::uint64_t key = 1; key <= 500; ++key) {
+    list.insert(list.scheme().handle(0), key, key);
+  }
   const auto snapshot = list.scheme().stats_snapshot();
   EXPECT_GT(snapshot.index_collisions, 400u);
   // And the read side degrades to hazard pointers, not to unsafety.
   for (std::uint64_t key = 1; key <= 500; ++key) {
-    ASSERT_TRUE(list.contains(0, key));
+    ASSERT_TRUE(list.contains(list.scheme().handle(0), key));
   }
   const auto after = list.scheme().stats_snapshot();
   EXPECT_GT(after.hp_fallbacks, 0u);

@@ -23,20 +23,20 @@ TYPED_TEST_SUITE(SkipListTest, mp::test::AllSchemeTags,
 
 TYPED_TEST(SkipListTest, EmptyBehaviour) {
   typename TestFixture::SkipList sl(this->config());
-  EXPECT_FALSE(sl.contains(0, 10));
-  EXPECT_FALSE(sl.remove(0, 10));
+  EXPECT_FALSE(sl.contains(sl.scheme().handle(0), 10));
+  EXPECT_FALSE(sl.remove(sl.scheme().handle(0), 10));
   EXPECT_EQ(sl.size(), 0u);
   EXPECT_TRUE(sl.validate());
 }
 
 TYPED_TEST(SkipListTest, InsertContainsRemove) {
   typename TestFixture::SkipList sl(this->config());
-  EXPECT_TRUE(sl.insert(0, 5, 50));
-  EXPECT_FALSE(sl.insert(0, 5, 51));
-  EXPECT_TRUE(sl.contains(0, 5));
-  EXPECT_FALSE(sl.contains(0, 6));
-  EXPECT_TRUE(sl.remove(0, 5));
-  EXPECT_FALSE(sl.remove(0, 5));
+  EXPECT_TRUE(sl.insert(sl.scheme().handle(0), 5, 50));
+  EXPECT_FALSE(sl.insert(sl.scheme().handle(0), 5, 51));
+  EXPECT_TRUE(sl.contains(sl.scheme().handle(0), 5));
+  EXPECT_FALSE(sl.contains(sl.scheme().handle(0), 6));
+  EXPECT_TRUE(sl.remove(sl.scheme().handle(0), 5));
+  EXPECT_FALSE(sl.remove(sl.scheme().handle(0), 5));
   EXPECT_EQ(sl.size(), 0u);
 }
 
@@ -44,11 +44,11 @@ TYPED_TEST(SkipListTest, TowersStayContained) {
   typename TestFixture::SkipList sl(this->config());
   // Enough inserts to create multi-level towers with high probability.
   for (std::uint64_t key = 1; key <= 500; ++key) {
-    ASSERT_TRUE(sl.insert(0, key * 3, key));
+    ASSERT_TRUE(sl.insert(sl.scheme().handle(0), key * 3, key));
   }
   EXPECT_TRUE(sl.validate()) << "per-level order + containment";
   for (std::uint64_t key = 1; key <= 500; key += 2) {
-    ASSERT_TRUE(sl.remove(0, key * 3));
+    ASSERT_TRUE(sl.remove(sl.scheme().handle(0), key * 3));
   }
   EXPECT_TRUE(sl.validate()) << "invariants survive deletions";
   EXPECT_EQ(sl.size(), 250u);
@@ -56,18 +56,19 @@ TYPED_TEST(SkipListTest, TowersStayContained) {
 
 TYPED_TEST(SkipListTest, GetReturnsStoredValue) {
   typename TestFixture::SkipList sl(this->config());
-  sl.insert(0, 11, 1100);
+  sl.insert(sl.scheme().handle(0), 11, 1100);
   std::uint64_t value = 0;
-  EXPECT_TRUE(sl.get(0, 11, value));
+  EXPECT_TRUE(sl.get(sl.scheme().handle(0), 11, value));
   EXPECT_EQ(value, 1100u);
-  EXPECT_FALSE(sl.get(0, 12, value));
+  EXPECT_FALSE(sl.get(sl.scheme().handle(0), 12, value));
 }
 
 TYPED_TEST(SkipListTest, ReinsertCycles) {
   typename TestFixture::SkipList sl(this->config());
   for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(sl.insert(0, 99, static_cast<std::uint64_t>(round)));
-    ASSERT_TRUE(sl.remove(0, 99));
+    ASSERT_TRUE(sl.insert(sl.scheme().handle(0),
+                          99, static_cast<std::uint64_t>(round)));
+    ASSERT_TRUE(sl.remove(sl.scheme().handle(0), 99));
   }
   EXPECT_EQ(sl.size(), 0u);
   EXPECT_TRUE(sl.validate());
@@ -76,7 +77,7 @@ TYPED_TEST(SkipListTest, ReinsertCycles) {
 TYPED_TEST(SkipListTest, DescendingInsertOrder) {
   typename TestFixture::SkipList sl(this->config());
   for (std::uint64_t key = 400; key >= 1; --key) {
-    ASSERT_TRUE(sl.insert(0, key, key));
+    ASSERT_TRUE(sl.insert(sl.scheme().handle(0), key, key));
   }
   EXPECT_EQ(sl.size(), 400u);
   EXPECT_TRUE(sl.validate());
@@ -93,10 +94,10 @@ TYPED_TEST(SkipListTest, ReferenceModelAgreement) {
 TYPED_TEST(SkipListTest, ExtremeClientKeys) {
   using SkipList = typename TestFixture::SkipList;
   SkipList sl(this->config());
-  EXPECT_TRUE(sl.insert(0, SkipList::kMinKey + 1, 1));
-  EXPECT_TRUE(sl.insert(0, SkipList::kMaxKey - 1, 2));
-  EXPECT_TRUE(sl.contains(0, SkipList::kMinKey + 1));
-  EXPECT_TRUE(sl.contains(0, SkipList::kMaxKey - 1));
+  EXPECT_TRUE(sl.insert(sl.scheme().handle(0), SkipList::kMinKey + 1, 1));
+  EXPECT_TRUE(sl.insert(sl.scheme().handle(0), SkipList::kMaxKey - 1, 2));
+  EXPECT_TRUE(sl.contains(sl.scheme().handle(0), SkipList::kMinKey + 1));
+  EXPECT_TRUE(sl.contains(sl.scheme().handle(0), SkipList::kMaxKey - 1));
 }
 
 // Seed sweep on the MP-backed skip list.

@@ -217,16 +217,16 @@ TEST(AllocFaultOrdering, TreeInsertSurvivesSecondAllocFailure) {
     const std::uint64_t key = 1 + rng.next_below(64);
     try {
       if (rng.next() % 2 == 0) {
-        tree.insert(0, key, key);
+        tree.insert(tree.scheme().handle(0), key, key);
       } else {
-        tree.remove(0, key);
+        tree.remove(tree.scheme().handle(0), key);
       }
     } catch (const std::bad_alloc&) {
     }
   }
   injector.set_armed(false);
   for (std::uint64_t key = 1; key <= 64; ++key) {
-    tree.remove(0, key);  // removal never allocates
+    tree.remove(tree.scheme().handle(0), key);  // removal never allocates
   }
   ASSERT_EQ(tree.size(), 0u);
   tree.scheme().drain();

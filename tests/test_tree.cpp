@@ -22,20 +22,20 @@ TYPED_TEST_SUITE(TreeTest, mp::test::AllSchemeTags, mp::test::SchemeTagNames);
 
 TYPED_TEST(TreeTest, EmptyBehaviour) {
   typename TestFixture::Tree tree(this->config());
-  EXPECT_FALSE(tree.contains(0, 10));
-  EXPECT_FALSE(tree.remove(0, 10));
+  EXPECT_FALSE(tree.contains(tree.scheme().handle(0), 10));
+  EXPECT_FALSE(tree.remove(tree.scheme().handle(0), 10));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.validate());
 }
 
 TYPED_TEST(TreeTest, InsertContainsRemove) {
   typename TestFixture::Tree tree(this->config());
-  EXPECT_TRUE(tree.insert(0, 5, 50));
-  EXPECT_FALSE(tree.insert(0, 5, 51));
-  EXPECT_TRUE(tree.contains(0, 5));
-  EXPECT_FALSE(tree.contains(0, 4));
-  EXPECT_TRUE(tree.remove(0, 5));
-  EXPECT_FALSE(tree.remove(0, 5));
+  EXPECT_TRUE(tree.insert(tree.scheme().handle(0), 5, 50));
+  EXPECT_FALSE(tree.insert(tree.scheme().handle(0), 5, 51));
+  EXPECT_TRUE(tree.contains(tree.scheme().handle(0), 5));
+  EXPECT_FALSE(tree.contains(tree.scheme().handle(0), 4));
+  EXPECT_TRUE(tree.remove(tree.scheme().handle(0), 5));
+  EXPECT_FALSE(tree.remove(tree.scheme().handle(0), 5));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.validate()) << "tree restored to initial shape";
 }
@@ -43,7 +43,7 @@ TYPED_TEST(TreeTest, InsertContainsRemove) {
 TYPED_TEST(TreeTest, RoutingInvariantUnderAscendingInserts) {
   typename TestFixture::Tree tree(this->config());
   for (std::uint64_t key = 1; key <= 400; ++key) {
-    ASSERT_TRUE(tree.insert(0, key, key));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key, key));
   }
   EXPECT_TRUE(tree.validate());
   EXPECT_EQ(tree.size(), 400u);
@@ -52,7 +52,7 @@ TYPED_TEST(TreeTest, RoutingInvariantUnderAscendingInserts) {
 TYPED_TEST(TreeTest, RoutingInvariantUnderDescendingInserts) {
   typename TestFixture::Tree tree(this->config());
   for (std::uint64_t key = 400; key >= 1; --key) {
-    ASSERT_TRUE(tree.insert(0, key, key));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key, key));
   }
   EXPECT_TRUE(tree.validate());
   EXPECT_EQ(tree.size(), 400u);
@@ -61,14 +61,14 @@ TYPED_TEST(TreeTest, RoutingInvariantUnderDescendingInserts) {
 TYPED_TEST(TreeTest, DeleteEveryOtherKey) {
   typename TestFixture::Tree tree(this->config());
   for (std::uint64_t key = 1; key <= 300; ++key) {
-    ASSERT_TRUE(tree.insert(0, key, key));
+    ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key, key));
   }
   for (std::uint64_t key = 2; key <= 300; key += 2) {
-    ASSERT_TRUE(tree.remove(0, key));
+    ASSERT_TRUE(tree.remove(tree.scheme().handle(0), key));
   }
   EXPECT_TRUE(tree.validate());
   for (std::uint64_t key = 1; key <= 300; ++key) {
-    ASSERT_EQ(tree.contains(0, key), key % 2 == 1) << key;
+    ASSERT_EQ(tree.contains(tree.scheme().handle(0), key), key % 2 == 1) << key;
   }
 }
 
@@ -76,10 +76,10 @@ TYPED_TEST(TreeTest, DrainToEmptyAndRebuild) {
   typename TestFixture::Tree tree(this->config());
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t key = 1; key <= 100; ++key) {
-      ASSERT_TRUE(tree.insert(0, key * 7, key));
+      ASSERT_TRUE(tree.insert(tree.scheme().handle(0), key * 7, key));
     }
     for (std::uint64_t key = 1; key <= 100; ++key) {
-      ASSERT_TRUE(tree.remove(0, key * 7));
+      ASSERT_TRUE(tree.remove(tree.scheme().handle(0), key * 7));
     }
     EXPECT_EQ(tree.size(), 0u);
     EXPECT_TRUE(tree.validate());
@@ -88,30 +88,30 @@ TYPED_TEST(TreeTest, DrainToEmptyAndRebuild) {
 
 TYPED_TEST(TreeTest, GetReturnsStoredValue) {
   typename TestFixture::Tree tree(this->config());
-  tree.insert(0, 8, 800);
+  tree.insert(tree.scheme().handle(0), 8, 800);
   std::uint64_t value = 0;
-  EXPECT_TRUE(tree.get(0, 8, value));
+  EXPECT_TRUE(tree.get(tree.scheme().handle(0), 8, value));
   EXPECT_EQ(value, 800u);
-  EXPECT_FALSE(tree.get(0, 9, value));
+  EXPECT_FALSE(tree.get(tree.scheme().handle(0), 9, value));
 }
 
 TYPED_TEST(TreeTest, LargestClientKey) {
   using Tree = typename TestFixture::Tree;
   Tree tree(this->config());
   const std::uint64_t top = Tree::kInf0 - 1;
-  EXPECT_TRUE(tree.insert(0, top, 1));
-  EXPECT_TRUE(tree.contains(0, top));
-  EXPECT_TRUE(tree.remove(0, top));
+  EXPECT_TRUE(tree.insert(tree.scheme().handle(0), top, 1));
+  EXPECT_TRUE(tree.contains(tree.scheme().handle(0), top));
+  EXPECT_TRUE(tree.remove(tree.scheme().handle(0), top));
   EXPECT_TRUE(tree.validate());
 }
 
 TYPED_TEST(TreeTest, KeyZeroSupported) {
   typename TestFixture::Tree tree(this->config());
-  EXPECT_TRUE(tree.insert(0, 0, 1));
-  EXPECT_TRUE(tree.contains(0, 0));
-  EXPECT_TRUE(tree.insert(0, 1, 2));
-  EXPECT_TRUE(tree.remove(0, 0));
-  EXPECT_TRUE(tree.contains(0, 1));
+  EXPECT_TRUE(tree.insert(tree.scheme().handle(0), 0, 1));
+  EXPECT_TRUE(tree.contains(tree.scheme().handle(0), 0));
+  EXPECT_TRUE(tree.insert(tree.scheme().handle(0), 1, 2));
+  EXPECT_TRUE(tree.remove(tree.scheme().handle(0), 0));
+  EXPECT_TRUE(tree.contains(tree.scheme().handle(0), 1));
   EXPECT_TRUE(tree.validate());
 }
 

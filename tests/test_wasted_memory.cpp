@@ -134,7 +134,7 @@ std::uint64_t paper_intro_scenario(std::size_t structure_size) {
   Tree tree(config);
   // Grow the structure from thread 0.
   for (std::uint64_t key = 1; key <= structure_size; ++key) {
-    tree.insert(0, key * 2, key);
+    tree.insert(tree.scheme().handle(0), key * 2, key);
   }
   // Thread 1 stalls mid-operation: start an op and protect a node by
   // starting a contains() on the scheme level. We emulate the mid-operation
@@ -149,7 +149,7 @@ std::uint64_t paper_intro_scenario(std::size_t structure_size) {
   scheme.read(1, 0, aux_cell);
   // Now thread 0 empties the structure.
   for (std::uint64_t key = 1; key <= structure_size; ++key) {
-    tree.remove(0, key * 2);
+    tree.remove(tree.scheme().handle(0), key * 2);
   }
   const std::uint64_t waste = scheme.outstanding();
   scheme.end_op(1);
@@ -183,8 +183,12 @@ TEST(WastedMemory, Fig6MetricAvgRetiredSampled) {
   // The Fig 6 measurement plumbing: avg retired-list size at op start.
   using List = mp::ds::MichaelList<mp::smr::MP>;
   List list(ds_config(2, List::kRequiredSlots, 8));
-  for (std::uint64_t key = 1; key <= 200; ++key) list.insert(0, key, key);
-  for (std::uint64_t key = 1; key <= 200; ++key) list.remove(0, key);
+  for (std::uint64_t key = 1; key <= 200; ++key) {
+    list.insert(list.scheme().handle(0), key, key);
+  }
+  for (std::uint64_t key = 1; key <= 200; ++key) {
+    list.remove(list.scheme().handle(0), key);
+  }
   const auto snapshot = list.scheme().stats_snapshot();
   EXPECT_EQ(snapshot.retired_samples, 400u);
   EXPECT_GE(snapshot.avg_retired(), 0.0);
