@@ -101,7 +101,7 @@ class CowAvlTree {
   }
 
   bool do_get(int tid, Key key, Value& value_out) {
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
   retry:
     const TaggedPtr root_word = smr_.read(tid, kRootSlot, root_);
     Node* node = root_word.template ptr<Node>();
@@ -127,7 +127,7 @@ class CowAvlTree {
 
   bool do_insert(int tid, Key key, Value value) {
     std::lock_guard lock(writer_mutex_);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     Node* root = root_.load(std::memory_order_relaxed).template ptr<Node>();
     replaced_.clear();
     bool inserted = false;
@@ -139,7 +139,7 @@ class CowAvlTree {
 
   bool do_remove(int tid, Key key) {
     std::lock_guard lock(writer_mutex_);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     Node* root = root_.load(std::memory_order_relaxed).template ptr<Node>();
     replaced_.clear();
     bool removed = false;

@@ -124,14 +124,14 @@ class FraserSkipList {
  private:
   bool do_contains(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     Node* node = search(tid, key);
     return node != nullptr;
   }
 
   bool do_get(int tid, Key key, Value& value_out) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     Node* node = search(tid, key);
     if (node == nullptr) return false;
     value_out = node->value;
@@ -140,7 +140,7 @@ class FraserSkipList {
 
   std::size_t do_get_many(int tid, const Key* keys, std::size_t count,
                           Value* values, bool* found) {
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < count; ++i) {
       assert(keys[i] > kMinKey && keys[i] < kMaxKey);
@@ -156,7 +156,7 @@ class FraserSkipList {
 
   bool do_insert(int tid, Key key, Value value) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     FindResult result;
     Node* node = nullptr;
     const int height = random_height(tid);
@@ -230,7 +230,7 @@ class FraserSkipList {
 
   bool do_remove(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     FindResult result;
     if (!find(tid, key, result)) return false;
     Node* node = result.found;

@@ -149,14 +149,14 @@ class MichaelHashSet {
 
   bool do_contains(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     const Seek seek = locate(tid, key);
     return seek.curr_node->key == key;
   }
 
   bool do_get(int tid, Key key, Value& value_out) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     const Seek seek = locate(tid, key);
     if (seek.curr_node->key != key) return false;
     value_out = seek.curr_node->value;
@@ -165,7 +165,7 @@ class MichaelHashSet {
 
   std::size_t do_get_many(int tid, const Key* keys, std::size_t count,
                           Value* values, bool* found) {
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     std::size_t hits = 0;
     for (std::size_t base = 0; base < count; base += kPrefetchChunk) {
       const std::size_t n =
@@ -197,7 +197,7 @@ class MichaelHashSet {
 
   bool do_insert(int tid, Key key, Value value) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     while (true) {
       const Seek seek = locate(tid, key);
       if (seek.curr_node->key == key) return false;
@@ -214,7 +214,7 @@ class MichaelHashSet {
 
   bool do_remove(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     while (true) {
       const Seek seek = locate(tid, key);
       if (seek.curr_node->key != key) return false;

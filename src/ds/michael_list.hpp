@@ -160,14 +160,14 @@ class MichaelList {
 
   bool do_contains(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     const Seek seek = locate(tid, key);
     return seek.curr_node->key == key;
   }
 
   bool do_get(int tid, Key key, Value& value_out) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     const Seek seek = locate(tid, key);
     if (seek.curr_node->key != key) return false;
     value_out = seek.curr_node->value;
@@ -176,7 +176,7 @@ class MichaelList {
 
   std::size_t do_get_many(int tid, const Key* keys, std::size_t count,
                           Value* values, bool* found) {
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < count; ++i) {
       assert(keys[i] > kMinKey && keys[i] < kMaxKey);
@@ -193,7 +193,7 @@ class MichaelList {
 
   bool do_insert(int tid, Key key, Value value) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     while (true) {
       const Seek seek = locate(tid, key);
       if (seek.curr_node->key == key) return false;
@@ -213,7 +213,7 @@ class MichaelList {
 
   bool do_remove(int tid, Key key) {
     assert(key > kMinKey && key < kMaxKey);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     while (true) {
       const Seek seek = locate(tid, key);
       if (seek.curr_node->key != key) return false;

@@ -135,7 +135,7 @@ class NatarajanTree {
  private:
   bool do_contains(int tid, Key key) {
     assert(key < kInf0);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     SeekRecord sr;
     seek(tid, key, sr);
     return sr.leaf->key == key;
@@ -143,7 +143,7 @@ class NatarajanTree {
 
   bool do_get(int tid, Key key, Value& value_out) {
     assert(key < kInf0);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     SeekRecord sr;
     seek(tid, key, sr);
     if (sr.leaf->key != key) return false;
@@ -153,7 +153,7 @@ class NatarajanTree {
 
   std::size_t do_get_many(int tid, const Key* keys, std::size_t count,
                           Value* values, bool* found) {
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     std::size_t hits = 0;
     SeekRecord sr;
     for (std::size_t i = 0; i < count; ++i) {
@@ -171,7 +171,7 @@ class NatarajanTree {
 
   bool do_insert(int tid, Key key, Value value) {
     assert(key < kInf0);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     SeekRecord sr;
     while (true) {
       seek(tid, key, sr);
@@ -216,7 +216,7 @@ class NatarajanTree {
 
   bool do_remove(int tid, Key key) {
     assert(key < kInf0);
-    smr::OpGuard<Scheme> guard(smr_, tid);
+    smr::OperationScope<Scheme> scope(smr_, tid);
     SeekRecord sr;
     Node* my_leaf = nullptr;
     while (true) {

@@ -1,15 +1,34 @@
 // Shared plumbing for all SMR schemes (CRTP base).
 //
-// Owns what every scheme in the paper has in common: the per-thread retired
-// lists and retire counters (Listing 4), allocation bookkeeping (Listing 5 /
-// 10's alloc), per-thread statistics, and teardown draining. The derived
-// scheme supplies the protection policy through a handful of hooks:
+// Owns what every scheme in the paper has in common: the operation bracket
+// (Listing 1's start_op/end_op/read), the one global epoch, the per-thread
+// retired lists and retire counters (Listing 4), allocation bookkeeping
+// (Listing 5 / 10's alloc), per-thread statistics, and teardown draining.
+// The schemes differ only in what an announcement protects (§3, Table 1),
+// so a derived scheme supplies just its protection protocol through hooks:
 //
-//   epoch_now()                 current global epoch (0 if the scheme has none)
-//   on_alloc_tick(tid, count)   called per allocation (epoch advancement)
-//   assign_index(tid)           32-bit MP index for a fresh node
-//   collect_snapshot(snapshot)  one view of every thread's protection state
-//   snapshot_protects(node, s)  the reclamation predicate against that view
+//   announce(tid)                   start_op's announcement (default: none)
+//   withdraw(tid)                   end_op's withdrawal (default: none)
+//   protect(tid, refno, src, stats) read()'s protect loop, returning the
+//                                   protected word (default: a plain load)
+//   kEpochClock                     when the shared epoch ticks by itself
+//   assign_index(tid)               32-bit MP index for a fresh node
+//   collect_snapshot(snapshot)      one view of every thread's protection
+//   snapshot_protects(node, s)      the reclamation predicate against it
+//   oracle_covers(tid, node)        that predicate for one thread's state
+//
+// The bracket runs the hooks in the oracle's ordering contract (below), so
+// no scheme repeats it: start_op samples the retired list, announces, then
+// opens the oracle's operation; end_op closes the oracle's operation, then
+// withdraws; read hits the chaos point, counts the read, protects, then
+// records the oracle's shadow reference.
+//
+// The global epoch (epoch_now) stamps every node's birth and retirement.
+// It starts at 1 and ticks per the scheme's kEpochClock: every
+// effective_epoch_freq() allocations (HE, IBR, EBR, DTA; MP unless
+// Config::epoch_advance_on_unlink makes it tick on every retire), inside
+// the scheme's own protocol (Stamp-it's enrollment, Hyaline's handover), or
+// never (HP, Leaky). Chaos epoch storms advance it for every scheme.
 //
 // Reclamation has one engine (DESIGN.md §12): filter a retired list against
 // one protection snapshot, a bounded step at a time (reclaimer.hpp's
@@ -54,6 +73,17 @@
 #include "smr/tagged_ptr.hpp"
 
 namespace mp::smr::detail {
+
+/// When the shared global epoch ticks by itself (Derived::kEpochClock).
+enum class EpochClock {
+  /// Only where the scheme's own protocol ticks it, or never.
+  kManual,
+  /// Every Config::effective_epoch_freq() allocations.
+  kAllocs,
+  /// As kAllocs, or on every retire under Config::epoch_advance_on_unlink
+  /// (MP's §4.4 variant).
+  kAllocsOrUnlinks,
+};
 
 template <typename Node, typename Derived>
 class SchemeBase {
@@ -127,17 +157,19 @@ class SchemeBase {
     // behavior (a node born in the post-tick epoch) is unchanged.
     Node* node = construct(tid, std::forward<Args>(args)...);
     oracle_alloc_hook(tid, node);
-    auto& local = *local_[tid];
-    derived().on_alloc_tick(tid, ++local.alloc_counter);
-    if (chaos != nullptr) {
-      if (const std::uint32_t storm = chaos->epoch_storm(tid); storm != 0) {
-        derived().chaos_advance_epoch(storm);
-        trace_event(tid, obs::TraceEvent::kEpochAdvance,
-                    derived().epoch_now());
+    if constexpr (Derived::kEpochClock != EpochClock::kManual) {
+      if (++local_[tid]->alloc_counter % config_.effective_epoch_freq() == 0 &&
+          !ticks_on_unlink()) {
+        tick_epoch(tid);
       }
     }
-    node->smr_header.birth_epoch.store(derived().epoch_now(),
-                                       std::memory_order_relaxed);
+    if (chaos != nullptr) {
+      if (const std::uint32_t storm = chaos->epoch_storm(tid); storm != 0) {
+        chaos_advance_epoch(storm);
+        trace_event(tid, obs::TraceEvent::kEpochAdvance, epoch_now());
+      }
+    }
+    node->smr_header.birth_epoch.store(epoch_now(), std::memory_order_relaxed);
     node->smr_header.index.store(derived().assign_index(tid),
                                  std::memory_order_relaxed);
     auto& stats = *stats_[tid];
@@ -154,9 +186,8 @@ class SchemeBase {
   /// retire into an O(retired) scan.
   void retire(int tid, Node* node) {
     oracle_retire_hook(tid, node);
-    derived().on_retire_tick(tid);
-    node->smr_header.retire_epoch.store(derived().epoch_now(),
-                                        std::memory_order_relaxed);
+    if (ticks_on_unlink()) tick_epoch(tid);
+    node->smr_header.retire_epoch.store(epoch_now(), std::memory_order_relaxed);
     auto& local = *local_[tid];
     local.retired.push_back(node);
     sync_retired(tid);
@@ -238,6 +269,39 @@ class SchemeBase {
   /// cross a public API boundary again. Cheap enough to re-mint at will.
   ThreadHandle<Derived> handle(int tid) noexcept {
     return ThreadHandle<Derived>(derived(), tid);
+  }
+
+  // ---- The operation bracket (Listing 1), in the oracle's contract order
+  // (see the ProtectionOracle call sites below) ----
+
+  void start_op(int tid) noexcept {
+    sample_retired(tid);
+    derived().announce(tid);
+    oracle_start_op(tid);
+  }
+
+  void end_op(int tid) noexcept {
+    oracle_end_op(tid);
+    derived().withdraw(tid);
+  }
+
+  /// Protect-and-load the link word in `src` for local reference `refno`.
+  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
+    chaos_protect(tid);
+    auto& stats = *stats_[tid];
+    stats.bump(stats.reads);
+    return oracle_checked_read(tid, refno,
+                               derived().protect(tid, refno, src, stats), src);
+  }
+
+  /// Current global epoch (the birth/retire stamp of a node made now).
+  std::uint64_t epoch_now() const noexcept {
+    return global_epoch_->load(std::memory_order_acquire);
+  }
+
+  /// Chaos hook: advance the global epoch by `by` (epoch storms).
+  void chaos_advance_epoch(std::uint64_t by) noexcept {
+    global_epoch_->fetch_add(by, std::memory_order_acq_rel);
   }
 
   // ---- Thread lifecycle (DESIGN.md §6) ----
@@ -538,15 +602,15 @@ class SchemeBase {
     }
   }
 
-  // Default hooks; schemes with epochs/indices shadow them.
-  std::uint64_t epoch_now() const noexcept { return 0; }
-  void on_alloc_tick(int /*tid*/, std::uint64_t /*count*/) noexcept {}
-  void on_retire_tick(int /*tid*/) noexcept {}
+  // Default protocol hooks (see the list at the top); schemes shadow them.
+  static constexpr EpochClock kEpochClock = EpochClock::kManual;
+  void announce(int /*tid*/) noexcept {}
+  void withdraw(int /*tid*/) noexcept {}
+  TaggedPtr protect(int /*tid*/, int /*refno*/, const AtomicTaggedPtr& src,
+                    ThreadStats& /*stats*/) noexcept {
+    return src.load(std::memory_order_acquire);
+  }
   std::uint32_t assign_index(int /*tid*/) noexcept { return kUseHp; }
-
-  /// Chaos hook: forcibly advance the scheme's global epoch/era by `by`
-  /// (epoch-advance storms). No-op for epoch-free schemes.
-  void chaos_advance_epoch(std::uint64_t /*by*/) noexcept {}
 
   /// Lifecycle hook: clear `tid`'s protection state (hazard slots, era/epoch
   /// reservations, margin intervals) so the departed thread never again pins
@@ -651,9 +715,8 @@ class SchemeBase {
     return config;
   }
 
-  /// Chaos point inside read(), before/between protection attempts. Every
-  /// scheme's read() calls this once on entry, so an injected stall parks
-  /// the thread mid-operation — the Theorem 4.2 adversary.
+  /// Chaos point inside read(), before the protection attempt: an injected
+  /// stall parks the thread mid-operation — the Theorem 4.2 adversary.
   void chaos_protect(int tid) noexcept {
     if (FaultInjector* chaos = config_.fault_injector; chaos != nullptr) {
       chaos->point(tid, ChaosPoint::kProtect);
@@ -668,16 +731,18 @@ class SchemeBase {
   // that keeps the shadow model a SUBSET of the scheme's physical
   // protection state at all times (so a correct execution can never
   // false-positive): shadow references are ADDED only after the physical
-  // protection is established (checked_read runs after read() validated,
-  // pin hooks run after the slot store + fence), and REMOVED before the
-  // physical protection is revoked (schemes call the end_op/unprotect
-  // hooks before clearing their slots, and drop the shadow reference via
-  // oracle_unprotect_hook before OVERWRITING a physical slot inside a
-  // read()/pin() — a slot overwrite revokes the old node's protection, so
-  // a shadow reference surviving it would be a stale holder and a false
-  // free-of-protected).
+  // protection is established (read() records them after the scheme's
+  // protect hook validated, pin hooks run after the slot store + fence),
+  // and REMOVED before the physical protection is revoked (end_op closes
+  // the oracle's operation before the scheme's withdraw hook clears its
+  // slots; schemes call the unprotect hook before clearing a slot, and
+  // inside a protect loop or pin() before OVERWRITING one — a slot
+  // overwrite revokes the old node's protection, so a shadow reference
+  // surviving it would be a stale holder and a false free-of-protected).
+  // The bracket above enforces the operation-level half of this order; the
+  // slot-level half is part of each protect loop.
 
-  /// Wraps every value a scheme's read() returns: asserts the discipline
+  /// Wraps every value read() returns: asserts the discipline
   /// (operation open, source cell not inside shadow-freed memory, tid's
   /// own state covers a live node per Derived::oracle_covers) and records
   /// the (tid, refno) shadow reference. `src` is the cell the read loaded
@@ -872,6 +937,24 @@ class SchemeBase {
     stats.bump(stats.retired_samples);
   }
 
+  // ---- The global epoch (kEpochClock) ----
+
+  /// Advance the global epoch by one; returns the new value.
+  std::uint64_t advance_epoch() noexcept {
+    return global_epoch_->fetch_add(1, std::memory_order_acq_rel) + 1;
+  }
+
+  /// One scheduled tick: advance by one and trace it.
+  void tick_epoch(int tid) noexcept {
+    trace_event(tid, obs::TraceEvent::kEpochAdvance, advance_epoch());
+  }
+
+  /// Does every retire tick the epoch instead of the allocation clock?
+  bool ticks_on_unlink() const noexcept {
+    return Derived::kEpochClock == EpochClock::kAllocsOrUnlinks &&
+           config_.epoch_advance_on_unlink;
+  }
+
   // ---- The reclamation engine's foreground arm (DESIGN.md §12) ----
 
   /// Monotonic clock read for the max_pause_ns high-water mark. Only ever
@@ -954,7 +1037,7 @@ class SchemeBase {
       };
     }
     auto& snapshot = *static_cast<Snap*>(cursor.snapshot);
-    const std::uint64_t epoch = derived().epoch_now();
+    const std::uint64_t epoch = epoch_now();
     if (!cursor.collected || epoch != cursor.snapshot_epoch) {
       derived().collect_snapshot(snapshot);
       cursor.snapshot_epoch = epoch;
@@ -1103,6 +1186,9 @@ class SchemeBase {
   PerThread& local(int tid) noexcept { return *local_[tid]; }
 
   Config config_;
+  /// The one global epoch. Its own padded line: MP's read() fast path
+  /// loads it on every read, and the ticks must not invalidate neighbours.
+  common::Padded<std::atomic<std::uint64_t>> global_epoch_{1};
   std::unique_ptr<common::Padded<ThreadStats>[]> stats_;
   std::unique_ptr<common::Padded<PerThread>[]> local_;
   NodePool<Node> pool_;
@@ -1125,22 +1211,6 @@ class SchemeBase {
   /// last: it is destroyed first, while pool_/bg_stats_ are still alive
   /// for its teardown-backstop frees.
   std::unique_ptr<BackgroundReclaimer<Node, Derived>> reclaimer_;
-};
-
-/// RAII operation guard: start_op on construction, end_op on destruction.
-template <typename Scheme>
-class OpGuard {
- public:
-  OpGuard(Scheme& scheme, int tid) : scheme_(scheme), tid_(tid) {
-    scheme_.start_op(tid_);
-  }
-  ~OpGuard() { scheme_.end_op(tid_); }
-  OpGuard(const OpGuard&) = delete;
-  OpGuard& operator=(const OpGuard&) = delete;
-
- private:
-  Scheme& scheme_;
-  int tid_;
 };
 
 }  // namespace mp::smr::detail

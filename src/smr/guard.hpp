@@ -45,7 +45,7 @@ class OperationScope {
 
 /// A protection slot bound for the lifetime of the guard. protect() loads
 /// a link word and guarantees the target stays unreclaimed until the guard
-/// is re-pointed, reset, or destroyed (or the operation ends).
+/// is re-pointed, released, or destroyed (or the operation ends).
 template <typename Scheme>
 class Guard {
  public:
@@ -99,9 +99,6 @@ class Guard {
     scheme_.unprotect(tid_, refno_);
     word_ = TaggedPtr::null();
   }
-
-  /// Historical name for release(), kept for existing call sites.
-  void reset() noexcept { release(); }
 
   bool released() const noexcept { return released_; }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "smr/detail/scheme_base.hpp"
-#include "smr/hp.hpp"
 
 namespace mp::smr {
 
@@ -28,6 +27,7 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
   static constexpr const char* kName = "HE";
   static constexpr bool kBoundedWaste = false;
   static constexpr bool kRobust = true;
+  static constexpr detail::EpochClock kEpochClock = detail::EpochClock::kAllocs;
 
   /// Era value of an unused slot. Global eras start at 1.
   static constexpr std::uint64_t kNoEra = 0;
@@ -47,15 +47,7 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
   /// reads the era reservations through collect_snapshot).
   ~HE() { this->stop_reclaimer(); }
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
-    this->oracle_start_op(tid);
-  }
-
-  void end_op(int tid) noexcept {
-    // Oracle first (shadow references must die before the era
-    // reservations that justify them are released).
-    this->oracle_end_op(tid);
+  void withdraw(int tid) noexcept {
     auto& slots = *slots_[tid];
     for (int i = 0; i < this->config().slots_per_thread; ++i) {
       slots.eras[i].store(kNoEra, std::memory_order_relaxed);
@@ -63,22 +55,18 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     counted_fence(this->thread_stats(tid));
   }
 
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
+  TaggedPtr protect(int tid, int refno, const AtomicTaggedPtr& src,
+                    ThreadStats& stats) noexcept {
     assert(refno >= 0 && refno < this->config().slots_per_thread);
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
     auto& era = slots_[tid]->eras[refno];
-    stats.bump(stats.reads);
     std::uint64_t announced = era.load(std::memory_order_relaxed);
     while (true) {
       const TaggedPtr observed = src.load(std::memory_order_acquire);
       const std::uint64_t current =
-          global_era_.load(std::memory_order_acquire);
+          this->global_epoch_->load(std::memory_order_acquire);
       // If the era announced in this slot is still current, the observed
       // node's birth era is <= the announced era, so it is protected.
-      if (current == announced) {
-        return this->oracle_checked_read(tid, refno, observed, src);
-      }
+      if (current == announced) return observed;
       // A new era in this slot can end the old node's coverage: drop the
       // shadow reference before the physical reservation moves.
       this->oracle_unprotect_hook(tid, refno);
@@ -100,8 +88,9 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     // The current era lies inside the node's lifetime (birth <= now, and it
     // will be retired at an era >= now), so announcing it pins the node.
     this->oracle_unprotect_hook(tid, refno);
-    slots_[tid]->eras[refno].store(global_era_.load(std::memory_order_acquire),
-                                   std::memory_order_relaxed);
+    slots_[tid]->eras[refno].store(
+        this->global_epoch_->load(std::memory_order_acquire),
+        std::memory_order_relaxed);
     counted_fence(this->thread_stats(tid));
     this->oracle_pin_hook(tid, refno, node);
   }
@@ -129,22 +118,6 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     auto& slots = *slots_[tid];
     for (int i = 0; i < this->config().slots_per_thread; ++i) {
       slots.eras[i].store(kNoEra, std::memory_order_release);
-    }
-  }
-
-  std::uint64_t epoch_now() const noexcept {
-    return global_era_.load(std::memory_order_acquire);
-  }
-
-  void chaos_advance_epoch(std::uint64_t by) noexcept {
-    global_era_.fetch_add(by, std::memory_order_acq_rel);
-  }
-
-  void on_alloc_tick(int tid, std::uint64_t count) noexcept {
-    if (count % this->config().effective_epoch_freq() == 0) {
-      const std::uint64_t next =
-          global_era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      this->trace_event(tid, obs::TraceEvent::kEpochAdvance, next);
     }
   }
 
@@ -188,7 +161,6 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     std::atomic<std::uint64_t> eras[kMaxSlotsPerThread];
   };
 
-  std::atomic<std::uint64_t> global_era_{1};
   std::unique_ptr<common::Padded<Slots>[]> slots_;
 };
 

@@ -42,9 +42,10 @@
 // (swapped wholesale from the per-thread retired list, so the handover is
 // O(1) in list length) instead of intrusive per-node links; the background
 // arm reuses the RetiredBatch shells and their spare-slot recycling via
-// bg_reclaim_nodes(). The global era counter exists only for retire-epoch
-// stamps and the debug oracle's coverage predicate — reclamation itself
-// never reads it.
+// bg_reclaim_nodes(). The base's global epoch (the era, ticked at each
+// handover) exists only for retire-epoch stamps and the debug oracle's
+// coverage predicate — reclamation itself never reads it, so chaos epoch
+// storms only make that predicate stricter.
 //
 // kSnapshotFree: there is no Snapshot/collect_snapshot/snapshot_protects
 // triple (Snapshot is void). The background reclaimer and the waste
@@ -53,12 +54,12 @@
 // cursor never runs; Config::validate_snapshot_free rejects a nonzero
 // scan_quantum.
 //
-// Wasted-memory bound: none. A thread stalled *inside* an operation
-// receives a reference to every batch handed over while it stalls and
-// never decrements, so every retired batch in the system stays allocated —
-// unbounded waste, and not robust either (the paper's Table 1 row for
-// EBR-like guarantees applies; the Hyaline-1S variant with birth eras
-// restores robustness and is future work here).
+// Wasted-memory bound: none (the base's kUnboundedWaste default). A thread
+// stalled *inside* an operation receives a reference to every batch handed
+// over while it stalls and never decrements, so every retired batch in the
+// system stays allocated — unbounded waste, and not robust either (the
+// paper's Table 1 row for EBR-like guarantees applies; the Hyaline-1S
+// variant with birth eras restores robustness and is future work here).
 #pragma once
 
 #include <cassert>
@@ -84,12 +85,6 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
   /// snapshot consumer is `if constexpr`-discarded for this scheme.
   using Snapshot = void;
 
-  /// No finite bound: a thread stalled inside an operation pins every
-  /// batch handed over during the stall (class comment).
-  static std::uint64_t waste_bound_per_thread(const Config&) noexcept {
-    return kUnboundedWaste;
-  }
-
   explicit Hyaline(const Config& config)
       : Base(config),
         slots_(std::make_unique<common::Padded<Slot>[]>(config.max_threads)) {
@@ -104,25 +99,21 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
   /// hands batches over through bg_reclaim_nodes below).
   ~Hyaline() { this->stop_reclaimer(); }
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
+  void announce(int tid) noexcept {
     auto& slot = *slots_[tid];
     [[maybe_unused]] BatchRef* prev =
         slot.head.exchange(nullptr, std::memory_order_acq_rel);
     assert(prev == inactive() && "start_op while already inside an op");
-    slot.activation_era.store(era_.load(std::memory_order_acquire),
-                              std::memory_order_relaxed);
+    slot.activation_era.store(
+        this->global_epoch_->load(std::memory_order_acquire),
+        std::memory_order_relaxed);
     // The activation exchange is the announcement; account it where other
     // schemes count their announcement fence (no real fence is issued).
     auto& stats = this->thread_stats(tid);
     stats.bump(stats.fences);
-    this->oracle_start_op(tid);
   }
 
-  void end_op(int tid) noexcept {
-    // Oracle first (shadow references must die before the activation that
-    // justifies them is dropped).
-    this->oracle_end_op(tid);
+  void withdraw(int tid) noexcept {
     auto& slot = *slots_[tid];
     BatchRef* ref = slot.head.exchange(inactive(), std::memory_order_acq_rel);
     auto& stats = this->thread_stats(tid);
@@ -135,14 +126,6 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
       delete ref;
       ref = next;
     }
-  }
-
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
-    stats.bump(stats.reads);
-    const TaggedPtr observed = src.load(std::memory_order_acquire);
-    return this->oracle_checked_read(tid, refno, observed, src);
   }
 
   /// Oracle coverage: the whole operation is covered while the slot is
@@ -172,18 +155,6 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
       delete ref;
       ref = next;
     }
-  }
-
-  /// Retire-epoch stamps and the oracle predicate read the era; the
-  /// reclamation path never does.
-  std::uint64_t epoch_now() const noexcept {
-    return era_.load(std::memory_order_acquire);
-  }
-
-  /// Chaos hook: era storms only raise later activation eras, making the
-  /// oracle predicate stricter — reclamation is era-blind.
-  void chaos_advance_epoch(std::uint64_t by) noexcept {
-    era_.fetch_add(by, std::memory_order_acq_rel);
   }
 
   /// Reclamation "pass", shadowing the base's engine pass: hand the
@@ -259,7 +230,7 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
     nodes.clear();
     // Era tick per handover: keeps retire-epoch stamps advancing for the
     // oracle/trace machinery (reclamation itself never reads it).
-    era_.fetch_add(1, std::memory_order_acq_rel);
+    this->advance_epoch();
     std::int64_t inserts = 0;
     BatchRef* ref = nullptr;  // reused across failed CASes / skipped slots
     const std::size_t threads = this->config().max_threads;
@@ -307,8 +278,6 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
     }
   }
 
-  /// Monotonic handover era (retire stamps + oracle only).
-  std::atomic<std::uint64_t> era_{1};
   std::unique_ptr<common::Padded<Slot>[]> slots_;
 };
 

@@ -28,6 +28,7 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
   static constexpr const char* kName = "IBR";
   static constexpr bool kBoundedWaste = false;
   static constexpr bool kRobust = true;
+  static constexpr detail::EpochClock kEpochClock = detail::EpochClock::kAllocs;
 
   static constexpr std::uint64_t kIdle =
       std::numeric_limits<std::uint64_t>::max();
@@ -45,40 +46,32 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
   /// reads the interval reservations through collect_snapshot).
   ~IBR() { this->stop_reclaimer(); }
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
+  void announce(int tid) noexcept {
     auto& slot = *slots_[tid];
-    const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
+    const std::uint64_t epoch =
+        this->global_epoch_->load(std::memory_order_acquire);
     slot.lower.store(epoch, std::memory_order_relaxed);
     slot.upper.store(epoch, std::memory_order_relaxed);
     slot.cached_upper = epoch;
     counted_fence(this->thread_stats(tid));
-    this->oracle_start_op(tid);
   }
 
-  void end_op(int tid) noexcept {
-    // Oracle first (shadow references must die before the reservation
-    // that justifies them is dropped).
-    this->oracle_end_op(tid);
+  void withdraw(int tid) noexcept {
     auto& slot = *slots_[tid];
     slot.lower.store(kIdle, std::memory_order_relaxed);
     slot.upper.store(kIdle, std::memory_order_release);
   }
 
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
+  TaggedPtr protect(int tid, int /*refno*/, const AtomicTaggedPtr& src,
+                    ThreadStats& stats) noexcept {
     auto& slot = *slots_[tid];
-    stats.bump(stats.reads);
     while (true) {
       const TaggedPtr observed = src.load(std::memory_order_acquire);
       const std::uint64_t epoch =
-          global_epoch_.load(std::memory_order_acquire);
+          this->global_epoch_->load(std::memory_order_acquire);
       // Common case: the epoch is unchanged since our reservation covered
       // it, so the observed node's birth epoch is within the reservation.
-      if (epoch == slot.cached_upper) {
-        return this->oracle_checked_read(tid, refno, observed, src);
-      }
+      if (epoch == slot.cached_upper) return observed;
       slot.upper.store(epoch, std::memory_order_relaxed);
       stats.bump(stats.slow_protects);
       counted_fence(stats);
@@ -92,7 +85,8 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     // Extend the reservation to the node's birth epoch: the node was born
     // inside this operation, possibly after the last upper refresh.
     auto& slot = *slots_[tid];
-    const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
+    const std::uint64_t epoch =
+        this->global_epoch_->load(std::memory_order_acquire);
     if (epoch != slot.cached_upper) {
       slot.upper.store(epoch, std::memory_order_relaxed);
       counted_fence(this->thread_stats(tid));
@@ -122,22 +116,6 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     slot.lower.store(kIdle, std::memory_order_relaxed);
     slot.upper.store(kIdle, std::memory_order_release);
     slot.cached_upper = kIdle;
-  }
-
-  std::uint64_t epoch_now() const noexcept {
-    return global_epoch_.load(std::memory_order_acquire);
-  }
-
-  void chaos_advance_epoch(std::uint64_t by) noexcept {
-    global_epoch_.fetch_add(by, std::memory_order_acq_rel);
-  }
-
-  void on_alloc_tick(int tid, std::uint64_t count) noexcept {
-    if (count % this->config().effective_epoch_freq() == 0) {
-      const std::uint64_t next =
-          global_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      this->trace_event(tid, obs::TraceEvent::kEpochAdvance, next);
-    }
   }
 
   /// One collected view of every active interval reservation. A node is
@@ -184,7 +162,6 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     std::uint64_t cached_upper = kIdle;
   };
 
-  std::atomic<std::uint64_t> global_epoch_{1};
   std::unique_ptr<common::Padded<Slot>[]> slots_;
 };
 

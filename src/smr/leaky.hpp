@@ -28,25 +28,8 @@ class Leaky : public detail::SchemeBase<Node, Leaky<Node>> {
   /// passes — the leaky semantics, preserved.
   ~Leaky() { this->stop_reclaimer(); }
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
-    auto& stats = this->thread_stats(tid);
-    stats.bump(stats.reads, 0);  // keep the counter hot-path shape uniform
-    this->oracle_start_op(tid);
-  }
-
-  void end_op(int tid) noexcept { this->oracle_end_op(tid); }
-
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
-    stats.bump(stats.reads);
-    // Leaky never frees, so the base oracle_covers (everything covered)
-    // applies — the checked read still enforces the operation bracket and
-    // catches shadow-freed nodes from drain()-time misuse.
-    return this->oracle_checked_read(
-        tid, refno, src.load(std::memory_order_acquire), src);
-  }
+  // No protocol hooks: the base bracket's plain-load read and its
+  // oracle_covers (everything covered, since nothing is ever freed) apply.
 
   /// Never reclaims; the retired list only drains at teardown. Shadowing
   /// the base's engine pass also keeps scheduled passes from rescanning a

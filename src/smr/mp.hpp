@@ -42,8 +42,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "smr/detail/protection_tables.hpp"
 #include "smr/detail/scheme_base.hpp"
-#include "smr/hp.hpp"  // the §4.3.2 fallback mirrors HP's protocol
 
 namespace mp::smr {
 
@@ -51,10 +51,20 @@ template <typename Node>
 class MP : public detail::SchemeBase<Node, MP<Node>> {
   using Base = detail::SchemeBase<Node, MP<Node>>;
 
+  /// Per-thread announcements: the paired hazard slots (the §4.3.2
+  /// fallback, HP's table) carrying the margin slots and announced epoch.
+  struct Margins {
+    std::atomic<std::uint32_t> margins[kMaxSlotsPerThread];
+    std::atomic<std::uint64_t> epoch;
+  };
+  using Slots = detail::HazardTable<Node, Margins>;
+
  public:
   static constexpr const char* kName = "MP";
   static constexpr bool kBoundedWaste = true;
   static constexpr bool kRobust = true;
+  static constexpr detail::EpochClock kEpochClock =
+      detail::EpochClock::kAllocsOrUnlinks;
 
   /// Margin-slot value meaning "no protection" (Listing 10's NO_MARGIN).
   static constexpr std::uint32_t kNoMargin = 0xFFFFFFFFu;
@@ -79,7 +89,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   explicit MP(const Config& config)
       : Base(config),
         margin_half_(config.margin / 2),
-        slots_(std::make_unique<common::Padded<Slots>[]>(config.max_threads)),
+        slots_(config),
         owner_(std::make_unique<common::Padded<Owner>[]>(config.max_threads)) {
     // §4.3.1: a margin must be able to cover one full 16-bit tag range
     // ("the margin must be larger than 2^16"; with the slot holding the
@@ -88,12 +98,11 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     // an uncovering margin would be a correctness bug, not a perf knob.
     config.validate_margin();
     for (std::size_t t = 0; t < config.max_threads; ++t) {
-      auto& slots = *slots_[t];
-      for (int i = 0; i < kMaxSlotsPerThread; ++i) {
-        slots.margins[i].store(kNoMargin, std::memory_order_relaxed);
-        slots.hazards[i].store(nullptr, std::memory_order_relaxed);
+      auto& announced = slots_.row(static_cast<int>(t)).extra;
+      for (auto& margin : announced.margins) {
+        margin.store(kNoMargin, std::memory_order_relaxed);
       }
-      slots.epoch.store(0, std::memory_order_relaxed);
+      announced.epoch.store(0, std::memory_order_relaxed);
     }
   }
 
@@ -103,11 +112,11 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
 
   // ---- Operation brackets (Listing 10 start_op / end_op) ----
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
+  void announce(int tid) noexcept {
     auto& owner = *owner_[tid];
-    const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
-    slots_[tid]->epoch.store(epoch, std::memory_order_relaxed);
+    const std::uint64_t epoch =
+        this->global_epoch_->load(std::memory_order_acquire);
+    slots_.row(tid).extra.epoch.store(epoch, std::memory_order_relaxed);
     owner.epoch = epoch;
     // "No predecessor reported yet" is soundly modeled by the space
     // minimum (any index below the successor's preserves the order); the
@@ -122,30 +131,24 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
       owner.cover_hi[i] = 0;
     }
     counted_fence(this->thread_stats(tid));
-    this->oracle_start_op(tid);
   }
 
-  void end_op(int tid) noexcept {
-    // Oracle first (shadow references must die before the physical
-    // margins/hazards they rely on are cleared).
-    this->oracle_end_op(tid);
-    auto& slots = *slots_[tid];
+  void withdraw(int tid) noexcept {
+    auto& margins = slots_.row(tid).extra.margins;
     for (int i = 0; i < this->config().slots_per_thread; ++i) {
-      slots.margins[i].store(kNoMargin, std::memory_order_relaxed);
-      slots.hazards[i].store(nullptr, std::memory_order_relaxed);
+      margins[i].store(kNoMargin, std::memory_order_relaxed);
     }
+    slots_.clear(tid, std::memory_order_relaxed);
     counted_fence(this->thread_stats(tid));
   }
 
   // ---- Protection (Listing 10 read) ----
 
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
+  TaggedPtr protect(int tid, int refno, const AtomicTaggedPtr& src,
+                    ThreadStats& stats) noexcept {
     assert(refno >= 0 && refno < this->config().slots_per_thread);
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
-    auto& slots = *slots_[tid];
+    auto& margin = slots_.row(tid).extra.margins[refno];
     auto& owner = *owner_[tid];
-    stats.bump(stats.reads);
 
     while (true) {
       const TaggedPtr observed = src.load(std::memory_order_acquire);
@@ -163,15 +166,17 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
         // Deviation 8: a margin is only trustworthy while the global epoch
         // equals our announcement — later-born covered nodes are invisible
         // to reclaimers through our margins.
-        if (global_epoch_.load(std::memory_order_acquire) == owner.epoch) {
-          return this->oracle_checked_read(tid, refno, observed, src);
+        if (this->global_epoch_->load(std::memory_order_acquire) ==
+            owner.epoch) {
+          return observed;
         }
         owner.hp_mode = true;
       }
 
       bool use_hp = owner.hp_mode || range_hi == kUseHp;
       if (!use_hp &&
-          global_epoch_.load(std::memory_order_acquire) != owner.epoch) {
+          this->global_epoch_->load(std::memory_order_acquire) !=
+              owner.epoch) {
         owner.hp_mode = true;
         use_hp = true;
       }
@@ -183,18 +188,10 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
         // have been born after our announced epoch, and reclaimers ignore
         // our margins for such nodes.
         stats.bump(stats.hp_fallbacks);
-        auto& hazard = slots.hazards[refno];
-        if (hazard.load(std::memory_order_relaxed) == node) {
-          return this->oracle_checked_read(tid, refno, observed, src);
-        }
-        // Shadow reference dies before the slot overwrite revokes the old
-        // node's protection (ordering contract in scheme_base.hpp).
-        this->oracle_unprotect_hook(tid, refno);
-        hazard.store(node, std::memory_order_relaxed);
-        stats.bump(stats.slow_protects);
-        counted_fence(stats);
-        if (src.load(std::memory_order_acquire) == observed) {
-          return this->oracle_checked_read(tid, refno, observed, src);
+        if (slots_.try_protect(tid, refno, node, observed, src, stats, [&] {
+              this->oracle_unprotect_hook(tid, refno);
+            })) {
+          return observed;
         }
         continue;
       }
@@ -203,7 +200,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
       // new interval may not contain the previously protected node, so the
       // old shadow reference dies before the physical slot moves.
       this->oracle_unprotect_hook(tid, refno);
-      slots.margins[refno].store(range_lo, std::memory_order_relaxed);
+      margin.store(range_lo, std::memory_order_relaxed);
       owner.cover_lo[refno] =
           range_lo >= margin_half_ ? range_lo - margin_half_ : 0;
       owner.cover_hi[refno] =
@@ -212,13 +209,14 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
       stats.bump(stats.slow_protects);
       counted_fence(stats);
       if (src.load(std::memory_order_acquire) == observed) {
-        if (global_epoch_.load(std::memory_order_acquire) != owner.epoch) {
+        if (this->global_epoch_->load(std::memory_order_acquire) !=
+            owner.epoch) {
           // Epoch advanced under us: the node may have been born in the new
           // epoch; retry via the hazard-pointer path (Listing 10).
           owner.hp_mode = true;
           continue;
         }
-        return this->oracle_checked_read(tid, refno, observed, src);
+        return observed;
       }
       // Source changed: the margin stays (it can only over-protect) and the
       // protocol repeats for the new target.
@@ -230,8 +228,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     // hp_mode and is honored by empty() regardless of the node's birth
     // epoch relative to our announcement.
     this->oracle_unprotect_hook(tid, refno);
-    slots_[tid]->hazards[refno].store(node, std::memory_order_relaxed);
-    counted_fence(this->thread_stats(tid));
+    slots_.pin(tid, refno, node, this->thread_stats(tid));
     this->oracle_pin_hook(tid, refno, node);
   }
 
@@ -242,25 +239,21 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   /// [birth, retire] lifetime (Theorem 4.2's filter; retire == 0 means
   /// "not yet retired", since global epochs start at 1).
   bool oracle_covers(int tid, const Node* node) const noexcept {
-    const auto& slots = *slots_[tid];
-    const int per_thread = this->config().slots_per_thread;
-    for (int i = 0; i < per_thread; ++i) {
-      if (slots.hazards[i].load(std::memory_order_relaxed) == node) {
-        return true;
-      }
-    }
+    if (slots_.names(tid, node)) return true;
     const std::uint32_t index = node->smr_header.index_relaxed();
     if (index == kUseHp) return false;  // only hazards protect USE_HP nodes
-    const std::uint64_t epoch = slots.epoch.load(std::memory_order_relaxed);
+    const auto& announced = slots_.row(tid).extra;
+    const std::uint64_t epoch =
+        announced.epoch.load(std::memory_order_relaxed);
     if (epoch == 0) return false;  // idle/detached announcement
     const std::uint64_t birth = node->smr_header.birth_relaxed();
     const std::uint64_t retire = node->smr_header.retire_relaxed();
     if (epoch < birth || (retire != 0 && epoch > retire)) return false;
     const std::uint32_t range_lo = index & ~0xFFFFu;
     const std::uint32_t range_hi = index | 0xFFFFu;
-    for (int i = 0; i < per_thread; ++i) {
+    for (int i = 0; i < this->config().slots_per_thread; ++i) {
       const std::uint32_t margin =
-          slots.margins[i].load(std::memory_order_relaxed);
+          announced.margins[i].load(std::memory_order_relaxed);
       if (margin != kNoMargin && covers(margin, range_lo, range_hi)) {
         return true;
       }
@@ -287,12 +280,12 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   /// owner-written elsewhere; detach may write it because the tid is
   /// quiescent (detach's precondition).
   void on_detach(int tid) noexcept {
-    auto& slots = *slots_[tid];
+    auto& announced = slots_.row(tid).extra;
     for (int i = 0; i < this->config().slots_per_thread; ++i) {
-      slots.margins[i].store(kNoMargin, std::memory_order_release);
-      slots.hazards[i].store(nullptr, std::memory_order_release);
+      announced.margins[i].store(kNoMargin, std::memory_order_release);
     }
-    slots.epoch.store(0, std::memory_order_release);
+    slots_.clear(tid, std::memory_order_release);
+    announced.epoch.store(0, std::memory_order_release);
   }
 
   // ---- Index creation (Listing 5 / 10 alloc path) ----
@@ -367,35 +360,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     }
   }
 
-  // ---- Epoch machinery (§4.3.2) ----
-
-  std::uint64_t epoch_now() const noexcept {
-    return global_epoch_.load(std::memory_order_acquire);
-  }
-
-  void on_alloc_tick(int tid, std::uint64_t count) noexcept {
-    if (this->config().epoch_advance_on_unlink) return;  // §4.4 mode
-    if (count % this->config().effective_epoch_freq() == 0) {
-      const std::uint64_t next =
-          global_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      this->trace_event(tid, obs::TraceEvent::kEpochAdvance, next);
-    }
-  }
-
-  void on_retire_tick(int tid) noexcept {
-    // §4.4 future-work variant: advancing the epoch on every unlink
-    // improves the wasted-memory bound to #HP + O(#MP * M) per thread.
-    if (this->config().epoch_advance_on_unlink) {
-      const std::uint64_t next =
-          global_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      this->trace_event(tid, obs::TraceEvent::kEpochAdvance, next);
-    }
-  }
-
-  void chaos_advance_epoch(std::uint64_t by) noexcept {
-    global_epoch_.fetch_add(by, std::memory_order_acq_rel);
-  }
-
   // ---- Reclamation (Listing 10 empty) ----
 
   /// One collected view of every thread's announcement: active margin
@@ -410,42 +374,30 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
       std::uint64_t epoch;  ///< owning thread's announced epoch
     };
     std::vector<MarginEntry> margin_entries;
-    std::vector<const Node*> hazard_entries;
+    typename Slots::Snapshot hazards;
   };
 
   void collect_snapshot(Snapshot& snapshot) const {
-    const std::size_t threads = this->config().max_threads;
     const int per_thread = this->config().slots_per_thread;
     // Compact lists holding only *active* protections — the spirit of the
     // interval-index optimization §4.3 suggests. The epoch is snapshotted
     // before the thread's slots (see DESIGN.md: protections installed
     // after the snapshot cannot cover nodes already retired before it).
     snapshot.margin_entries.clear();
-    snapshot.hazard_entries.clear();
-    const std::size_t slot_total =
-        threads * static_cast<std::size_t>(per_thread);
-    snapshot.margin_entries.reserve(slot_total);
-    snapshot.hazard_entries.reserve(slot_total);
-    for (std::size_t t = 0; t < threads; ++t) {
-      // Each thread's slot block is its own padded line; fetch the next
-      // block while this one's epoch/margin/hazard loads retire.
-      if (t + 1 < threads) __builtin_prefetch(&slots_[t + 1]);
-      auto& slots = *slots_[t];
-      const std::uint64_t epoch = slots.epoch.load(std::memory_order_acquire);
+    snapshot.margin_entries.reserve(this->config().max_threads *
+                                    static_cast<std::size_t>(per_thread));
+    slots_.collect(snapshot.hazards, [&](const typename Slots::Row& row) {
+      const std::uint64_t epoch =
+          row.extra.epoch.load(std::memory_order_acquire);
       for (int i = 0; i < per_thread; ++i) {
         const std::uint32_t margin =
-            slots.margins[i].load(std::memory_order_acquire);
+            row.extra.margins[i].load(std::memory_order_acquire);
         if (margin != kNoMargin) {
           snapshot.margin_entries.push_back(
               {interval_lo(margin), interval_hi(margin), epoch});
         }
-        const Node* hazard = slots.hazards[i].load(std::memory_order_acquire);
-        if (hazard != nullptr) snapshot.hazard_entries.push_back(hazard);
       }
-    }
-    // Hazards are honored regardless of epochs (deviation 2), so a sorted
-    // set + binary search suffices.
-    std::sort(snapshot.hazard_entries.begin(), snapshot.hazard_entries.end());
+    });
   }
 
   bool snapshot_protects(const Node* node,
@@ -453,10 +405,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     // Hazard slots are honored unconditionally (deviation 2): an HP set in
     // hp_mode can legitimately protect a node born after the thread's
     // announced epoch, so no epoch filter gates this check.
-    if (std::binary_search(snapshot.hazard_entries.begin(),
-                           snapshot.hazard_entries.end(), node)) {
-      return true;
-    }
+    if (snapshot.hazards.protects(node)) return true;
     const std::uint32_t index = node->smr_header.index_relaxed();
     if (index == kUseHp) return false;  // only hazards protect USE_HP nodes
 
@@ -475,12 +424,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   }
 
  private:
-  struct Slots {
-    std::atomic<std::uint32_t> margins[kMaxSlotsPerThread];
-    std::atomic<Node*> hazards[kMaxSlotsPerThread];
-    std::atomic<std::uint64_t> epoch;
-  };
-
   struct Owner {
     std::uint64_t epoch = 0;
     std::uint32_t lower_bound = kMinIndex;
@@ -512,8 +455,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   }
 
   const std::uint32_t margin_half_;
-  std::atomic<std::uint64_t> global_epoch_{1};
-  std::unique_ptr<common::Padded<Slots>[]> slots_;
+  Slots slots_;
   std::unique_ptr<common::Padded<Owner>[]> owner_;
 };
 

@@ -17,7 +17,15 @@
 //   update_upper_bound(tid, node)      (no-ops everywhere else)
 //
 // Threads do not hold references across operations (§2), so end_op may
-// clear all protections.
+// clear all protections. OperationScope (guard.hpp) is the RAII bracket.
+//
+// start_op/end_op/read and the one global epoch are defined once, in
+// detail::SchemeBase; a scheme supplies only its protection protocol as
+// hooks the bracket calls — announce(tid) at start_op, withdraw(tid) at
+// end_op, protect(tid, refno, src, stats) inside read — plus its
+// kEpochClock tick schedule and its reclamation predicate (scheme_base.hpp
+// lists them). HP's slots and MP's paired hazards share one hazard table,
+// EBR and DTA one announced-epoch table (detail/protection_tables.hpp).
 //
 // Schemes:            wasted memory            per-read cost
 //   Leaky             unbounded (never frees)  plain load
@@ -57,10 +65,6 @@
 #include "smr/tagged_ptr.hpp"
 
 namespace mp::smr {
-
-/// RAII operation bracket.
-template <typename Scheme>
-using OpGuard = detail::OpGuard<Scheme>;
 
 /// The core SMR protocol as a checkable C++20 concept: the paper's
 /// Listing 1 surface (start_op/end_op/read/unprotect/alloc/retire/

@@ -3,8 +3,8 @@
 //
 // EBR's weakness is the O(T) horizon computation: deciding "what is the
 // oldest active operation?" scans every thread's announcement. Stamp-it
-// keeps the active threads in a doubly-linked list ordered by *stamp* (a
-// global monotone counter sampled when the thread enrolls), so the oldest
+// keeps the active threads in a doubly-linked list ordered by *stamp* (the
+// base's global epoch, ticked each time a thread enrolls), so the oldest
 // active operation is simply the list head and the horizon is its stamp —
 // O(1) to read, O(1) amortized to maintain:
 //
@@ -34,9 +34,11 @@
 // its retire stamp predates it. All the incremental-scan and background-
 // reclaimer machinery applies unchanged (kSnapshotFree = false).
 //
-// Wasted-memory bound: none — one thread stalled inside an operation pins
-// the horizon at its stamp forever, like every EBR-family scheme. Not
-// robust for the same reason.
+// Wasted-memory bound: none (the base's kUnboundedWaste default) — one
+// thread stalled inside an operation pins the horizon at its stamp
+// forever, like every EBR-family scheme. Not robust for the same reason.
+// Chaos epoch storms only raise later enrollment and retire stamps; the
+// horizon (and so reclamation) is unaffected until the threads re-enroll.
 #pragma once
 
 #include <cassert>
@@ -55,17 +57,10 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
   static constexpr const char* kName = "Stampit";
   static constexpr bool kBoundedWaste = false;
   static constexpr bool kRobust = false;
-  static constexpr bool kSnapshotFree = false;
 
   /// Operations between forced re-enrollments (the DEBRA amortization):
   /// a busy thread's horizon contribution lags by at most this many ops.
   static constexpr std::uint64_t kAnnounceFreq = 64;
-
-  /// No finite bound: a stalled active thread pins the horizon (class
-  /// comment), so the retired backlog behind it grows without limit.
-  static std::uint64_t waste_bound_per_thread(const Config&) noexcept {
-    return kUnboundedWaste;
-  }
 
   explicit Stampit(const Config& config)
       : Base(config),
@@ -81,8 +76,7 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
   /// scan reads the horizon through collect_snapshot).
   ~Stampit() { this->stop_reclaimer(); }
 
-  void start_op(int tid) noexcept {
-    this->sample_retired(tid);
+  void announce(int tid) noexcept {
     auto& entry = *entries_[tid];
     auto& stats = this->thread_stats(tid);
     if (++entry.ops % kAnnounceFreq != 0) {
@@ -95,7 +89,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
                                               std::memory_order_acq_rel,
                                               std::memory_order_relaxed)) {
         stats.bump(stats.fences);
-        this->oracle_start_op(tid);
         return;
       }
       // Lost the claim race (or first op on this tid): re-enroll.
@@ -103,13 +96,9 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     }
     enroll(tid);
     stats.bump(stats.fences);
-    this->oracle_start_op(tid);
   }
 
-  void end_op(int tid) noexcept {
-    // Oracle first (shadow references must die before the announcement
-    // that justifies them is dropped).
-    this->oracle_end_op(tid);
+  void withdraw(int tid) noexcept {
     auto& entry = *entries_[tid];
     assert(entry.state.load(std::memory_order_relaxed) == kActive);
     entry.state.store(kQuiescent, std::memory_order_release);
@@ -121,14 +110,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
       if (head_ == tid) advance_horizon_locked();
       list_mutex_.unlock();
     }
-  }
-
-  TaggedPtr read(int tid, int refno, const AtomicTaggedPtr& src) noexcept {
-    this->chaos_protect(tid);
-    auto& stats = this->thread_stats(tid);
-    stats.bump(stats.reads);
-    const TaggedPtr observed = src.load(std::memory_order_acquire);
-    return this->oracle_checked_read(tid, refno, observed, src);
   }
 
   /// Oracle coverage (one-thread mirror of snapshot_protects): while this
@@ -154,17 +135,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     }
     entry.ops = 0;  // the tid's next leaseholder starts a fresh cadence
     advance_horizon_locked();
-  }
-
-  std::uint64_t epoch_now() const noexcept {
-    return stamp_counter_.load(std::memory_order_acquire);
-  }
-
-  /// Chaos hook: stamp storms only raise later enrollment and retire
-  /// stamps — the horizon (and so reclamation) is unaffected until the
-  /// threads re-enroll.
-  void chaos_advance_epoch(std::uint64_t by) noexcept {
-    stamp_counter_.fetch_add(by, std::memory_order_acq_rel);
   }
 
   /// One horizon stamp — the whole protection snapshot. A retired node is
@@ -225,8 +195,7 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
       // so the list stays stamp-sorted once the new stamp lands.
       unlink_locked(tid);
     }
-    const std::uint64_t stamp =
-        stamp_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    const std::uint64_t stamp = this->advance_epoch();
     entry.stamp.store(stamp, std::memory_order_release);
     entry.state.store(kActive, std::memory_order_release);
     append_tail_locked(tid);
@@ -253,7 +222,7 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     const std::uint64_t horizon =
         head_ != kNil
             ? entries_[head_]->stamp.load(std::memory_order_relaxed)
-            : stamp_counter_.load(std::memory_order_relaxed) + 1;
+            : this->global_epoch_->load(std::memory_order_relaxed) + 1;
     horizon_.store(horizon, std::memory_order_release);
   }
 
@@ -285,9 +254,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     entry.next = kNil;
   }
 
-  /// Global stamp source (monotone; sampled at enrollment and for
-  /// retire-epoch stamps via epoch_now).
-  std::atomic<std::uint64_t> stamp_counter_{1};
   /// Published horizon: the oldest in-list stamp (release stores under
   /// the mutex, acquire loads anywhere).
   std::atomic<std::uint64_t> horizon_{1};

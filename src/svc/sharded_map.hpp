@@ -555,7 +555,7 @@ class ShardedMap {
     std::size_t flush_multi_get_run(Structure& structure, Handle handle,
                                     const std::vector<PendingOp>& batch,
                                     std::size_t start, std::uint64_t now) {
-      Key keys[kMultiGetRun];
+      Key keys[kMultiGetRun]{};
       Value values[kMultiGetRun];
       bool found[kMultiGetRun];
       std::size_t n = 0;

@@ -384,6 +384,7 @@ std::pair<std::uint64_t, std::uint64_t> stalled_churn(int churn_count) {
 
   latch.release();
   reader.join();
+  scheme.delete_unlinked(0, anchor);
   return {peak, Scheme::waste_bound_per_thread(config)};
 }
 
@@ -475,6 +476,7 @@ TEST(SoftCap, BackoffBoundsWorkWhenReclamationIsBlocked) {
   const auto stats = scheme.stats_snapshot();
   latch.release();
   reader.join();
+  scheme.delete_unlinked(0, anchor);
 
   // ~9 doubling passes (1..256) then one per 256 retires: ~85 total.
   EXPECT_GE(stats.emergency_empties, 20u);

@@ -1,7 +1,11 @@
-// EBR / HE / IBR / DTA unit tests: epoch advancement, operation-scoped
-// protection, the robustness distinction (paper §3.2–3.3), and DTA's
-// anchor-posting cadence.
+// EBR / HE / IBR / DTA unit tests: operation-scoped protection, the
+// robustness distinction (paper §3.2–3.3) and DTA's anchor-posting
+// cadence — plus the shared global epoch's tick schedule and chaos
+// advance, checked over every scheme.
 #include <gtest/gtest.h>
+
+#include <string_view>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -26,29 +30,44 @@ Config config_for(std::size_t threads, std::uint64_t epoch_freq = 10,
   return config;
 }
 
-// ---- Epoch advancement cadence (shared machinery) ----
+// ---- The shared global epoch (SchemeBase), over every scheme ----
 
+template <typename Tag>
+class SharedEpochTest : public ::testing::Test {};
+TYPED_TEST_SUITE(SharedEpochTest, mp::test::AllSchemeTags,
+                 mp::test::SchemeTagNames);
+
+/// The schemes whose epoch ticks on the allocation clock; the others tick
+/// only inside their own protocol (Stamp-it's enrollment, Hyaline's
+/// handover) or never (HP, Leaky).
 template <typename Scheme>
-void expect_epoch_advances_every_n_allocs() {
+constexpr bool ticks_on_allocations() {
+  const std::string_view name = Scheme::kName;
+  return name == "MP" || name == "HE" || name == "IBR" || name == "EBR" ||
+         name == "DTA";
+}
+
+TYPED_TEST(SharedEpochTest, TicksEveryEpochFreqAllocationsWhereScheduled) {
+  using Scheme = typename TypeParam::type;
   Scheme scheme(config_for(2, /*epoch_freq=*/5));
   const std::uint64_t start = scheme.epoch_now();
   std::vector<TestNode*> nodes;
   for (int i = 0; i < 25; ++i) nodes.push_back(scheme.alloc(0, 0u));
-  EXPECT_EQ(scheme.epoch_now() - start, 5u) << "25 allocs / freq 5";
+  EXPECT_EQ(scheme.epoch_now() - start,
+            ticks_on_allocations<Scheme>() ? 5u : 0u)
+      << "25 allocs / freq 5, outside any operation";
   for (TestNode* node : nodes) scheme.delete_unlinked(node);
 }
 
-TEST(EpochSchemes, EbrAdvancesEveryNAllocs) {
-  expect_epoch_advances_every_n_allocs<EBR>();
-}
-TEST(EpochSchemes, HeAdvancesEveryNAllocs) {
-  expect_epoch_advances_every_n_allocs<HE>();
-}
-TEST(EpochSchemes, IbrAdvancesEveryNAllocs) {
-  expect_epoch_advances_every_n_allocs<IBR>();
-}
-TEST(EpochSchemes, DtaAdvancesEveryNAllocs) {
-  expect_epoch_advances_every_n_allocs<DTA>();
+TYPED_TEST(SharedEpochTest, ChaosAdvanceMovesTheEpochAndLaterBirths) {
+  using Scheme = typename TypeParam::type;
+  Scheme scheme(config_for(2, /*epoch_freq=*/5));
+  const std::uint64_t start = scheme.epoch_now();
+  scheme.chaos_advance_epoch(7);
+  EXPECT_EQ(scheme.epoch_now(), start + 7);
+  TestNode* node = scheme.alloc(0, 0u);  // 1st alloc: no scheduled tick
+  EXPECT_EQ(node->smr_header.birth_relaxed(), start + 7);
+  scheme.delete_unlinked(node);
 }
 
 TEST(EpochSchemes, DefaultEpochFreqIs150T) {

@@ -95,7 +95,7 @@ TYPED_TEST(GuardTest, ResetDropsProtectionEagerly) {
   OperationScope scope(scheme, 0);
   Guard guard(scope, 0);
   guard.protect(cell);
-  guard.reset();
+  guard.release();
   EXPECT_FALSE(static_cast<bool>(guard));
   EXPECT_EQ(guard.get(), nullptr);
   scheme.delete_unlinked(node);
@@ -118,7 +118,7 @@ TYPED_TEST(GuardTest, DoubleReleaseIsIdempotent) {
   Guard second(scope, 0);
   ASSERT_EQ(second.protect_ptr(cell_b), b);
   first.release();  // no-op: the slot was already surrendered
-  first.reset();    // reset() is an alias; also a no-op here
+  first.release();  // and every later one
   EXPECT_EQ(second.get(), b) << "double release must not disturb the slot";
 
   // The protection must actually hold: retire b and make sure it survives

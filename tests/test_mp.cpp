@@ -438,6 +438,7 @@ TEST(MpBound, StalledThreadPinsBoundedNodes) {
   EXPECT_LT(scheme.outstanding(), 2048u)
       << "wasted memory must be bounded regardless of 20k churn";
   scheme.end_op(1);
+  scheme.delete_unlinked(0, anchor.node);
 }
 
 TEST(MpBound, NoStallMeansNoAccumulation) {

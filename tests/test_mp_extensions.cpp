@@ -74,6 +74,7 @@ TEST(MpUnlinkEpoch, ImprovedBoundUnderStalledMargin) {
   EXPECT_LE(scheme.outstanding() - 1, 8u)
       << "unlink-epoch mode must pin only same-epoch nodes";
   scheme.end_op(1);
+  scheme.delete_unlinked(0, anchor);
 }
 
 TEST(MpUnlinkEpoch, DefaultModePinsEpochWindow) {
@@ -94,6 +95,7 @@ TEST(MpUnlinkEpoch, DefaultModePinsEpochWindow) {
   EXPECT_EQ(scheme.outstanding() - 1, 5000u)
       << "same-epoch covered nodes all stay pinned";
   scheme.end_op(1);
+  scheme.delete_unlinked(0, anchor);
 }
 
 TEST(MpUnlinkEpoch, ListWorksInUnlinkMode) {

@@ -1,5 +1,5 @@
 // Scheme-generic unit tests: every SMR scheme must satisfy the interface
-// contract of paper §2 (Listing 1) — these run against all seven schemes.
+// contract of paper §2 (Listing 1) — these run against every scheme in smr::AllSchemes.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -161,7 +161,7 @@ TYPED_TEST(SchemeBasicTest, StartOpSamplesRetiredListSize) {
 TYPED_TEST(SchemeBasicTest, OpGuardBracketsOperation) {
   typename TestFixture::Scheme scheme(this->small_config());
   {
-    mp::smr::OpGuard guard(scheme, 1);
+    mp::smr::OperationScope scope(scheme, 1);
     TestNode* node = scheme.alloc(1, 9u);
     mp::smr::AtomicTaggedPtr cell(scheme.make_link(node));
     EXPECT_EQ(scheme.read(1, 0, cell).template ptr<TestNode>(), node);

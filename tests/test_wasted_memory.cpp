@@ -88,6 +88,7 @@ std::uint64_t waste_under_stall(int churn_count) {
   churn(scheme, churn_count);
   const std::uint64_t waste = scheme.outstanding() - 1;  // minus the anchor
   stall.release_and_join();
+  scheme.delete_unlinked(0, anchor);
   return waste;
 }
 
