@@ -2,7 +2,9 @@
 // read() per scheme, in the two regimes that matter —
 //   * "walk": sequential reads over many distinct nodes (a traversal),
 //     where MP's margin fast path and HP's per-node fences diverge;
-//   * "repeat": re-reading one node (a CAS retry loop), cheap everywhere.
+//   * "repeat": re-reading one node (a CAS retry loop), cheap everywhere;
+//   * "bracket": one start_op + end_op pair with no reads, the fixed
+//     per-operation cost every structure pays around its traversal.
 //
 // JSON output: unlike the figure benches (which use obs::BenchReport),
 // this binary defaults to google-benchmark's native JSON reporter —
@@ -78,6 +80,14 @@ class ReadCost : public benchmark::Fixture {
     }                                                                   \
     scheme->end_op(0);                                                  \
     state.SetItemsProcessed(state.iterations());                        \
+  }                                                                     \
+  BENCHMARK_TEMPLATE_F(ReadCost, Bracket_##SCHEME, mp::smr::SCHEME)     \
+  (benchmark::State & state) {                                          \
+    for (auto _ : state) {                                              \
+      scheme->start_op(0);                                              \
+      scheme->end_op(0);                                                \
+    }                                                                   \
+    state.SetItemsProcessed(state.iterations());                        \
   }
 
 READ_COST_BENCH(Leaky)
@@ -87,6 +97,8 @@ READ_COST_BENCH(HE)
 READ_COST_BENCH(HP)
 READ_COST_BENCH(MP)
 READ_COST_BENCH(DTA)
+READ_COST_BENCH(Hyaline)
+READ_COST_BENCH(Stampit)
 
 }  // namespace
 

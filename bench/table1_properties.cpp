@@ -27,7 +27,7 @@ constexpr Row kRows[] = {
     {"MP", "Low-Med (search DS), =HP (other)", "Bounded",
      "HP + extra method calls", 3},
     {"Hyaline", "Low (refcounted handover)", "Unbounded", "Per-operation", 2},
-    {"Stampit", "Low (O(1) promote-on-leave)", "Unbounded", "Per-operation",
+    {"Stampit", "Low (O(1) reap-on-collect)", "Unbounded", "Per-operation",
      1},
 };
 

@@ -12,10 +12,10 @@
 //     quiescent back to active, keeping its position and stamp. The CAS
 //     races only with a "popper" claiming the quiescent entry off the
 //     head; whoever wins decides (lost claim -> the thread re-enrolls).
-//   * end_op: mark the entry quiescent (it stays in the list), and if it
-//     is the current head, opportunistically pop the run of quiescent
-//     heads and publish the new horizon — the promote-on-leave step that
-//     keeps the horizon advancing without any scan.
+//   * end_op: one release store marks the entry quiescent; it stays in
+//     the list, so the next start_op reactivates it in place. The horizon
+//     advances only when a reclamation pass reaps the run of quiescent
+//     heads (reap-on-collect), and on enroll and detach.
 //   * DEBRA-style amortization: every kAnnounceFreq operations the fast
 //     path is skipped and the thread re-enrolls at the tail with a fresh
 //     stamp, bounding how far one busy thread's stale stamp can hold the
@@ -23,7 +23,7 @@
 //
 // List surgery (enroll, unlink, pop) runs under one mutex — it is off the
 // per-operation fast path (taken every kAnnounceFreq ops, on a lost claim
-// race, or opportunistically via try_lock) and the paper's lock-free list
+// race, on detach, or by a pass's try_lock) and the paper's lock-free list
 // machinery is orthogonal to what this reproduction measures. The
 // active/quiescent/removed state word itself is always manipulated with
 // atomic RMWs so the fast path never touches the mutex, and the
@@ -102,14 +102,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     auto& entry = *entries_[tid];
     assert(entry.state.load(std::memory_order_relaxed) == kActive);
     entry.state.store(kQuiescent, std::memory_order_release);
-    // Promote-on-leave: if we were the oldest active operation, pop the
-    // run of quiescent heads and publish the new horizon. try_lock keeps
-    // this O(1) and uncontended — a busy list owner just means someone
-    // else is already advancing it.
-    if (list_mutex_.try_lock()) {
-      if (head_ == tid) advance_horizon_locked();
-      list_mutex_.unlock();
-    }
   }
 
   /// Oracle coverage (one-thread mirror of snapshot_protects): while this
@@ -151,9 +143,8 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
 
   /// Non-const overload, preferred by the scan cursor and the background
   /// reclaimer (both hold a Scheme&): first reap any run of quiescent heads
-  /// so the horizon is as fresh as a try_lock allows — without this a
-  /// fully-quiescent system's horizon would stay stuck at the last
-  /// promote-on-leave.
+  /// so the horizon is as fresh as a try_lock allows. With enroll and
+  /// on_detach, this is where the horizon advances: end_op never does.
   void collect_snapshot(Snapshot& snapshot) noexcept {
     if (list_mutex_.try_lock()) {
       advance_horizon_locked();

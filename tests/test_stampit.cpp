@@ -1,12 +1,14 @@
-// Stamp-it (stamp-ordered thread list, O(1) promote-on-leave): the
-// scheme-specific behavior the typed cross-scheme suites cannot pin down.
+// Stamp-it (stamp-ordered thread list, one-store leave, reap-on-collect):
+// the scheme-specific behavior the typed cross-scheme suites cannot pin
+// down.
 //
 //   * horizon semantics — an active operation pins the horizon at its
-//     stamp (nothing retired after it is freed), and promote-on-leave
-//     releases the backlog the moment the oldest operation ends;
+//     stamp (nothing retired after it is freed), and once the oldest
+//     operation ends the next pass's collect_snapshot reaps it and
+//     releases the backlog;
 //   * DEBRA amortization — a thread re-enrolls (and bumps the global
-//     stamp counter) only every kAnnounceFreq operations while another
-//     thread holds the list head;
+//     stamp counter) only every kAnnounceFreq operations, whether or not
+//     it is the list head;
 //   * detach — a departed tid's retired list is orphaned and the
 //     allocation identity still closes after adoption/drain;
 //   * conservation (retires == reclaims + drained) in both the foreground
@@ -58,15 +60,16 @@ TEST(StampitHorizon, ActiveOperationPinsRetiredNodes) {
   EXPECT_GT(scheme.stats_snapshot().empties, 0u);
   EXPECT_EQ(scheme.stats_snapshot().reclaims, 0u)
       << "an active operation must pin every later retire";
-  // Promote-on-leave: tid 0 was the list head, so its end_op pops the
-  // quiescent run and publishes a horizon past every stamp issued so far;
-  // the next empty() frees the whole backlog.
+  // Reap-on-collect: tid 0's end_op only marks its head entry quiescent;
+  // the next pass's collect_snapshot pops it and publishes a horizon past
+  // every stamp issued so far, so that pass frees the whole backlog.
   scheme.end_op(0);
   for (int i = 0; i < 8; ++i) {
     scheme.retire(1, scheme.alloc(1, static_cast<std::uint64_t>(100 + i)));
   }
   EXPECT_EQ(scheme.stats_snapshot().reclaims, 16u)
-      << "promote-on-leave must release the pinned backlog";
+      << "the next pass must reap the quiescent head and release the "
+         "pinned backlog";
   scheme.drain();
   EXPECT_EQ(scheme.outstanding(), 0u);
 }
@@ -91,8 +94,8 @@ TEST(StampitHorizon, SnapshotProtectsByRetireStamp) {
 TEST(StampitAnnounce, ReenrollsOnlyEveryAnnounceFreqOps) {
   Config config = mp::test::ds_config(2, 2, 8);
   Scheme scheme(config);
-  // Tid 0 holds the head so tid 1's end_op never pops its own entry; the
-  // fast path then reactivates in place without touching the counter.
+  // Tid 0 holds the head, so tid 1 is never the head; the fast path
+  // reactivates tid 1 in place without touching the counter.
   scheme.start_op(0);
   scheme.start_op(1);  // first op: enrollment (+1 stamp)
   scheme.end_op(1);
@@ -105,6 +108,29 @@ TEST(StampitAnnounce, ReenrollsOnlyEveryAnnounceFreqOps) {
   EXPECT_EQ(scheme.epoch_now() - before, 3u)
       << "only every kAnnounceFreq-th op may take the enrollment slow path";
   scheme.end_op(0);
+  scheme.drain();
+}
+
+TEST(StampitAnnounce, HeadReenrollsOnlyEveryAnnounceFreqOps) {
+  Config config = mp::test::ds_config(2, 2, 8);
+  Scheme scheme(config);
+  // A lone thread is always the list head. Its end_op must not pop its own
+  // entry, or every next start_op loses the reactivation CAS and
+  // re-enrolls (a mutex and a global stamp bump per operation).
+  scheme.start_op(0);  // first op: enrollment (+1 stamp)
+  scheme.end_op(0);
+  const std::uint64_t before = scheme.epoch_now();
+  const std::uint64_t slow_before = scheme.stats_snapshot().slow_protects;
+  const int ops = static_cast<int>(Scheme::kAnnounceFreq) * 3;
+  for (int i = 0; i < ops; ++i) {
+    scheme.start_op(0);
+    scheme.end_op(0);
+  }
+  EXPECT_EQ(scheme.epoch_now() - before, 3u)
+      << "the head may take the enrollment slow path only every "
+         "kAnnounceFreq-th op";
+  EXPECT_EQ(scheme.stats_snapshot().slow_protects - slow_before, 0u)
+      << "the head's fast-path reactivation CAS must never lose";
   scheme.drain();
 }
 
