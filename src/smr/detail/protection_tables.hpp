@@ -1,16 +1,20 @@
-// The two per-thread announcement tables more than one scheme shares.
+// The per-thread announcement tables more than one scheme shares, and the
+// horizon snapshot the epoch-family schemes share.
 //
 // A scheme's protocol decides WHAT it announces and when; the table owns
-// the announcement storage (one padded row per thread) and both halves of
-// the question "does this announcement protect that node?": the snapshot
-// half the reclamation engine filters retired lists with, and the
-// one-thread oracle_covers half the ProtectionOracle asserts on every
-// protected read.
+// the announcement storage (one padded row per thread), appends one row's
+// announcements to a snapshot (`collect_row`), and its Snapshot type holds
+// the scheme's one protection predicate (`protects`). SchemeBase builds
+// both consumers from those two pieces (scheme_base.hpp): the all-rows
+// snapshot the reclamation engine filters retired lists with, and the
+// one-row snapshot the ProtectionOracle asks on every protected read.
 //
-//   HazardTable  Michael's hazard slots: HP's slots and MP's paired
-//                hazards (the §4.3.2 fallback).
-//   EpochTable   one announced epoch per thread and the minimum-epoch
-//                horizon: EBR, and DTA's EBR-style reclamation.
+//   HazardTable      Michael's hazard slots: HP's slots and MP's paired
+//                    hazards (the §4.3.2 fallback).
+//   EpochTable       one announced epoch per thread: EBR, and DTA's
+//                    EBR-style reclamation.
+//   HorizonSnapshot  the minimum announced epoch: EpochTable's and
+//                    Stamp-it's snapshot, Hyaline's one-row oracle check.
 //
 // Each row can carry the scheme's other per-thread announcements as an
 // `Extra` payload (MP's margins and epoch, DTA's anchor), so they stay on
@@ -34,6 +38,26 @@ namespace mp::smr::detail {
 /// Row payload of a scheme with nothing else to announce.
 struct NoExtra {};
 
+/// The reclamation horizon: the minimum epoch an active row announced. A
+/// node whose lifetime ended before it cannot be reachable by any of those
+/// rows. kIdle (no active row) protects nothing, live nodes included.
+template <typename Node>
+struct HorizonSnapshot {
+  /// Announced value of a row that is not inside an operation.
+  static constexpr std::uint64_t kIdle =
+      std::numeric_limits<std::uint64_t>::max();
+
+  std::uint64_t horizon = kIdle;
+
+  void reset(std::size_t /*entries*/) noexcept { horizon = kIdle; }
+  void add(std::uint64_t epoch) noexcept { horizon = std::min(horizon, epoch); }
+  void seal() noexcept {}
+
+  bool protects(const Node* node) const noexcept {
+    return horizon != kIdle && node->smr_header.lifetime_end() >= horizon;
+  }
+};
+
 template <typename Node, typename Extra = NoExtra>
 class HazardTable {
  public:
@@ -43,20 +67,29 @@ class HazardTable {
   };
 
   /// Every announced hazard, sorted for binary search: collected once and
-  /// queried per retired node (the paper's §6 snapshot optimization).
+  /// queried per retired node (the paper's §6 snapshot optimization). The
+  /// algorithms take pointer ranges: the oracle sorts and searches a
+  /// one-row snapshot on every protected read, and its Debug builds do not
+  /// inline vector iterators.
   struct Snapshot {
     std::vector<const Node*> hazards;
 
+    void reset(std::size_t entries) {
+      hazards.clear();
+      hazards.reserve(entries);
+    }
+    void seal() { std::sort(hazards.data(), hazards.data() + hazards.size()); }
+
     bool protects(const Node* node) const noexcept {
-      return std::binary_search(hazards.begin(), hazards.end(), node);
+      return std::binary_search(hazards.data(),
+                                hazards.data() + hazards.size(), node);
     }
   };
 
   explicit HazardTable(const Config& config)
-      : threads_(config.max_threads),
-        per_thread_(config.slots_per_thread),
+      : per_thread_(config.slots_per_thread),
         rows_(std::make_unique<common::Padded<Row>[]>(config.max_threads)) {
-    for (std::size_t t = 0; t < threads_; ++t) {
+    for (std::size_t t = 0; t < config.max_threads; ++t) {
       for (auto& hazard : rows_[t]->hazards) {
         hazard.store(nullptr, std::memory_order_relaxed);
       }
@@ -104,42 +137,16 @@ class HazardTable {
     }
   }
 
-  /// Oracle half: does one of `tid`'s slots name `node`?
-  bool names(int tid, const Node* node) const noexcept {
+  /// Append `tid`'s non-null hazards.
+  void collect_row(int tid, Snapshot& snapshot) const {
     const auto& row = *rows_[tid];
     for (int i = 0; i < per_thread_; ++i) {
-      if (row.hazards[i].load(std::memory_order_relaxed) == node) return true;
+      const Node* hazard = row.hazards[i].load(std::memory_order_acquire);
+      if (hazard != nullptr) snapshot.hazards.push_back(hazard);
     }
-    return false;
-  }
-
-  /// Snapshot half: gather every thread's non-null hazards and sort them.
-  /// `on_row(row)` runs on each row before its hazards are loaded, for the
-  /// scheme's own payload.
-  template <typename OnRow>
-  void collect(Snapshot& snapshot, OnRow&& on_row) const {
-    snapshot.hazards.clear();
-    snapshot.hazards.reserve(threads_ * static_cast<std::size_t>(per_thread_));
-    for (std::size_t t = 0; t < threads_; ++t) {
-      // Each row is its own padded block; fetch the next one while this
-      // one's loads retire.
-      if (t + 1 < threads_) __builtin_prefetch(&rows_[t + 1]);
-      const auto& row = *rows_[t];
-      on_row(row);
-      for (int i = 0; i < per_thread_; ++i) {
-        const Node* hazard = row.hazards[i].load(std::memory_order_acquire);
-        if (hazard != nullptr) snapshot.hazards.push_back(hazard);
-      }
-    }
-    std::sort(snapshot.hazards.begin(), snapshot.hazards.end());
-  }
-
-  void collect(Snapshot& snapshot) const {
-    collect(snapshot, [](const Row&) noexcept {});
   }
 
  private:
-  std::size_t threads_;
   int per_thread_;
   std::unique_ptr<common::Padded<Row>[]> rows_;
 };
@@ -147,29 +154,19 @@ class HazardTable {
 template <typename Node, typename Extra = NoExtra>
 class EpochTable {
  public:
+  using Snapshot = HorizonSnapshot<Node>;
+
   /// Announced value of a thread that is not inside an operation.
-  static constexpr std::uint64_t kIdle =
-      std::numeric_limits<std::uint64_t>::max();
+  static constexpr std::uint64_t kIdle = Snapshot::kIdle;
 
   struct Row {
     std::atomic<std::uint64_t> announced;
     [[no_unique_address]] Extra extra;
   };
 
-  /// The reclamation horizon: the minimum announced epoch. A node retired
-  /// strictly before it cannot be reachable by anyone.
-  struct Snapshot {
-    std::uint64_t horizon = kIdle;
-
-    bool protects(const Node* node) const noexcept {
-      return node->smr_header.retire_relaxed() >= horizon;
-    }
-  };
-
   explicit EpochTable(const Config& config)
-      : threads_(config.max_threads),
-        rows_(std::make_unique<common::Padded<Row>[]>(config.max_threads)) {
-    for (std::size_t t = 0; t < threads_; ++t) {
+      : rows_(std::make_unique<common::Padded<Row>[]>(config.max_threads)) {
+    for (std::size_t t = 0; t < config.max_threads; ++t) {
       rows_[t]->announced.store(kIdle, std::memory_order_relaxed);
     }
   }
@@ -190,27 +187,13 @@ class EpochTable {
     rows_[tid]->announced.store(kIdle, std::memory_order_release);
   }
 
-  /// Oracle half: a non-idle announcement covers every node not yet
-  /// retired (retire == 0; epochs start at 1) or retired at or after it.
-  bool covers(int tid, const Node* node) const noexcept {
-    const std::uint64_t announced =
-        rows_[tid]->announced.load(std::memory_order_relaxed);
-    if (announced == kIdle) return false;
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    return retire == 0 || retire >= announced;
-  }
-
-  /// Snapshot half: the minimum over every thread's announcement.
-  void collect(Snapshot& snapshot) const noexcept {
-    snapshot.horizon = kIdle;
-    for (std::size_t t = 0; t < threads_; ++t) {
-      snapshot.horizon = std::min(
-          snapshot.horizon, rows_[t]->announced.load(std::memory_order_acquire));
-    }
+  /// Lower the horizon to `tid`'s announcement (an idle row's kIdle
+  /// leaves it unchanged).
+  void collect_row(int tid, Snapshot& snapshot) const noexcept {
+    snapshot.add(rows_[tid]->announced.load(std::memory_order_acquire));
   }
 
  private:
-  std::size_t threads_;
   std::unique_ptr<common::Padded<Row>[]> rows_;
 };
 

@@ -13,9 +13,14 @@
 //                                   protected word (default: a plain load)
 //   kEpochClock                     when the shared epoch ticks by itself
 //   assign_index(tid)               32-bit MP index for a fresh node
-//   collect_snapshot(snapshot)      one view of every thread's protection
-//   snapshot_protects(node, s)      the reclamation predicate against it
-//   oracle_covers(tid, node)        that predicate for one thread's state
+//   Snapshot                        its one protection predicate,
+//                                   Snapshot::protects(node)
+//   collect_row(tid, snapshot)      append one thread's announcements
+//
+// From those two the base defines every consumer of the predicate once:
+// collect_snapshot (all rows, then Snapshot::seal) and snapshot_protects
+// for the reclamation engine, oracle_covers (a one-row snapshot) for the
+// ProtectionOracle, so the oracle checks the code that frees.
 //
 // The bracket runs the hooks in the oracle's ordering contract (below), so
 // no scheme repeats it: start_op samples the retired list, announces, then
@@ -572,12 +577,16 @@ class SchemeBase {
   /// Does `tid`'s *current* protection state (hazard slots, margin
   /// intervals, epoch/era reservations) cover `node` — i.e. would every
   /// reclamation scan running right now be forced to keep it alive for
-  /// this thread? The oracle asserts this on every protected read. The
-  /// base default is Leaky semantics: nothing is ever freed, so everything
-  /// is covered; every reclaiming scheme shadows it with the mirror of its
-  /// snapshot_protects predicate restricted to one thread.
-  bool oracle_covers(int /*tid*/, const Node* /*node*/) const noexcept {
-    return true;
+  /// this thread? The oracle asserts this on every protected read. It is
+  /// the reclaimer's own predicate asked of a one-row snapshot holding
+  /// only `tid`'s announcements; the snapshot is per-thread scratch, so a
+  /// read allocates nothing once its row has been collected.
+  bool oracle_covers(int tid, const Node* node) const {
+    thread_local typename Derived::Snapshot row;
+    row.reset(static_cast<std::size_t>(config_.slots_per_thread));
+    derived().collect_row(tid, row);
+    row.seal();
+    return row.protects(node);
   }
 
   /// Does the observed pointer's identity tag disagree with `node`'s
@@ -632,15 +641,16 @@ class SchemeBase {
   // intervals), decoupled from the scan itself so one collected snapshot
   // can filter many batches: the foreground cursor collects one per pass
   // over its own list; the background reclaimer collects ONCE per wakeup
-  // and filters every queued batch against it. Defaults give Leaky
-  // semantics — an empty snapshot that protects everything, so nothing is
-  // ever freed; every reclaiming scheme shadows all three.
+  // and filters every queued batch against it. A scheme supplies the
+  // Snapshot type (reset(entries), seal(), protects(node)) and
+  // collect_row; the defaults give Leaky semantics — an empty snapshot
+  // that protects everything, so nothing is ever freed.
   //
   // Capability trait (smr.hpp's SnapshotReclaimable): a scheme that
   // reclaims without any snapshot pass — Hyaline's reference-counted
   // handover — shadows kSnapshotFree with true, defines
-  // `using Snapshot = void;` and shadows empty(). The background
-  // reclaimer and the waste watchdog dispatch on the trait via
+  // `using Snapshot = void;`, shadows empty() and oracle_covers. The
+  // background reclaimer and the waste watchdog dispatch on the trait via
   // `if constexpr`, the foreground on the shadowed empty(), so the
   // snapshot machinery is never instantiated for such a scheme.
 
@@ -655,11 +665,30 @@ class SchemeBase {
     cursor_step(tid, step_quantum(0));
   }
 
-  struct Snapshot {};
-  void collect_snapshot(Snapshot& /*snapshot*/) const noexcept {}
-  bool snapshot_protects(const Node* /*node*/,
-                         const Snapshot& /*snapshot*/) const noexcept {
-    return true;
+  struct Snapshot {
+    void reset(std::size_t /*entries*/) noexcept {}
+    void seal() noexcept {}
+    bool protects(const Node* /*node*/) const noexcept { return true; }
+  };
+  void collect_row(int /*tid*/, Snapshot& /*snapshot*/) const noexcept {}
+
+  /// Every thread's row, then seal: the one loop that builds a snapshot.
+  /// Room is reserved for slots_per_thread entries per row, an upper
+  /// bound for every scheme's announcements.
+  template <typename D = Derived>
+  void collect_snapshot(typename D::Snapshot& snapshot) const {
+    snapshot.reset(config_.max_threads *
+                   static_cast<std::size_t>(config_.slots_per_thread));
+    for (std::size_t t = 0; t < config_.max_threads; ++t) {
+      derived().collect_row(static_cast<int>(t), snapshot);
+    }
+    snapshot.seal();
+  }
+
+  template <typename D = Derived>
+  bool snapshot_protects(const Node* node,
+                         const typename D::Snapshot& snapshot) const noexcept {
+    return snapshot.protects(node);
   }
 
  protected:
@@ -744,7 +773,7 @@ class SchemeBase {
 
   /// Wraps every value read() returns: asserts the discipline
   /// (operation open, source cell not inside shadow-freed memory, tid's
-  /// own state covers a live node per Derived::oracle_covers) and records
+  /// own state covers a live node per oracle_covers) and records
   /// the (tid, refno) shadow reference. `src` is the cell the read loaded
   /// `word` from. Null words pass through untouched.
   TaggedPtr oracle_checked_read(int tid, int refno, TaggedPtr word,

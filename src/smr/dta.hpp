@@ -48,7 +48,7 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
   explicit DTA(const Config& config) : Base(config), epochs_(config) {}
 
   /// Joins the background reclaimer while epochs_ is still alive (its scan
-  /// reads the announced epochs through collect_snapshot).
+  /// reads the announced epochs through collect_row).
   ~DTA() { this->stop_reclaimer(); }
 
   void announce(int tid) noexcept {
@@ -83,12 +83,6 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
     }
   }
 
-  /// Oracle coverage: reclamation is EBR-style (anchors play no role in
-  /// the scan), so coverage is the per-thread horizon predicate.
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    return epochs_.covers(tid, node);
-  }
-
   /// Thread departure: clear the anchor and mark the epoch slot idle, so a
   /// thread that died mid-traversal stops holding back the EBR horizon
   /// (the exact stall pathology the header comment describes — detach is
@@ -102,13 +96,8 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
   /// the header comment on the conservative recovery deviation).
   using Snapshot = typename Epochs::Snapshot;
 
-  void collect_snapshot(Snapshot& snapshot) const noexcept {
-    epochs_.collect(snapshot);
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    return snapshot.protects(node);
+  void collect_row(int tid, Snapshot& snapshot) const noexcept {
+    epochs_.collect_row(tid, snapshot);
   }
 
  private:

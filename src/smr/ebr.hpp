@@ -29,7 +29,7 @@ class EBR : public detail::SchemeBase<Node, EBR<Node>> {
   explicit EBR(const Config& config) : Base(config), epochs_(config) {}
 
   /// Joins the background reclaimer while epochs_ is still alive (its scan
-  /// reads the announced epochs through collect_snapshot).
+  /// reads the announced epochs through collect_row).
   ~EBR() { this->stop_reclaimer(); }
 
   void announce(int tid) noexcept {
@@ -43,20 +43,11 @@ class EBR : public detail::SchemeBase<Node, EBR<Node>> {
   /// announced epoch stops holding back everyone's horizon.
   void on_detach(int tid) noexcept { epochs_.idle(tid); }
 
-  /// Oracle coverage: the one-thread mirror of the horizon predicate.
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    return epochs_.covers(tid, node);
-  }
-
+  /// The horizon: the minimum announced epoch.
   using Snapshot = typename Epochs::Snapshot;
 
-  void collect_snapshot(Snapshot& snapshot) const noexcept {
-    epochs_.collect(snapshot);
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    return snapshot.protects(node);
+  void collect_row(int tid, Snapshot& snapshot) const noexcept {
+    epochs_.collect_row(tid, snapshot);
   }
 
  private:

@@ -44,7 +44,7 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
   }
 
   /// Joins the background reclaimer while slots_ is still alive (its scan
-  /// reads the era reservations through collect_snapshot).
+  /// reads the era reservations through collect_row).
   ~HE() { this->stop_reclaimer(); }
 
   void withdraw(int tid) noexcept {
@@ -95,23 +95,6 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
     this->oracle_pin_hook(tid, refno, node);
   }
 
-  /// Oracle coverage: some announced era of `tid` falls inside the node's
-  /// [birth, retire] lifetime (retire == 0 = not yet retired; eras start
-  /// at 1, so kNoEra never matches a real lifetime).
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    const auto& slots = *slots_[tid];
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    for (int i = 0; i < this->config().slots_per_thread; ++i) {
-      const std::uint64_t era =
-          slots.eras[i].load(std::memory_order_relaxed);
-      if (era != kNoEra && era >= birth && (retire == 0 || era <= retire)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Thread departure: release every era reservation so a thread that died
   /// mid-operation stops pinning all nodes whose lifetime contains its era.
   void on_detach(int tid) noexcept {
@@ -122,38 +105,33 @@ class HE : public detail::SchemeBase<Node, HE<Node>> {
   }
 
   /// One collected view of every announced era. A node is protected when
-  /// any announced era falls inside its [birth, retire] lifetime.
+  /// any announced era falls inside its [birth, lifetime_end] lifetime
+  /// (eras start at 1 and kNoEra slots are never collected).
   struct Snapshot {
     std::vector<std::uint64_t> eras;
+
+    void reset(std::size_t entries) {
+      eras.clear();
+      eras.reserve(entries);
+    }
+    void seal() noexcept {}
+
+    bool protects(const Node* node) const noexcept {
+      const std::uint64_t birth = node->smr_header.birth_relaxed();
+      const std::uint64_t end = node->smr_header.lifetime_end();
+      for (const std::uint64_t era : eras) {
+        if (era >= birth && era <= end) return true;
+      }
+      return false;
+    }
   };
 
-  void collect_snapshot(Snapshot& snapshot) const {
-    snapshot.eras.clear();
-    const int per_thread = this->config().slots_per_thread;
-    snapshot.eras.reserve(this->config().max_threads *
-                          static_cast<std::size_t>(per_thread));
-    for (std::size_t t = 0; t < this->config().max_threads; ++t) {
-      // Each thread's eras live on their own padded line; fetch the next
-      // line while this one's loads retire.
-      if (t + 1 < this->config().max_threads) {
-        __builtin_prefetch(&slots_[t + 1]);
-      }
-      for (int i = 0; i < per_thread; ++i) {
-        const std::uint64_t era =
-            slots_[t]->eras[i].load(std::memory_order_acquire);
-        if (era != kNoEra) snapshot.eras.push_back(era);
-      }
+  void collect_row(int tid, Snapshot& snapshot) const {
+    const auto& slots = *slots_[tid];
+    for (int i = 0; i < this->config().slots_per_thread; ++i) {
+      const std::uint64_t era = slots.eras[i].load(std::memory_order_acquire);
+      if (era != kNoEra) snapshot.eras.push_back(era);
     }
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    for (const std::uint64_t era : snapshot.eras) {
-      if (era >= birth && era <= retire) return true;
-    }
-    return false;
   }
 
  private:

@@ -43,7 +43,7 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
   explicit HP(const Config& config) : Base(config), hazards_(config) {}
 
   /// Joins the background reclaimer while hazards_ is still alive (its
-  /// scan reads the hazard slots through collect_snapshot).
+  /// scan reads the hazard slots through collect_row).
   ~HP() { this->stop_reclaimer(); }
 
   void withdraw(int tid) noexcept {
@@ -81,12 +81,6 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
     this->oracle_pin_hook(tid, refno, node);
   }
 
-  /// Oracle coverage (one-thread mirror of snapshot_protects): a node is
-  /// covered for `tid` iff one of its hazard slots names the node.
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    return hazards_.names(tid, node);
-  }
-
   /// Thread departure: clear every hazard slot so nothing the dead thread
   /// announced keeps surviving empty() passes. Release stores, not the
   /// end_op fence: detach runs once per departure (cold), and the release
@@ -101,13 +95,8 @@ class HP : public detail::SchemeBase<Node, HP<Node>> {
   /// reclaimer (the §6 snapshot optimization, amortized further).
   using Snapshot = typename detail::HazardTable<Node>::Snapshot;
 
-  void collect_snapshot(Snapshot& snapshot) const {
-    hazards_.collect(snapshot);
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    return snapshot.protects(node);
+  void collect_row(int tid, Snapshot& snapshot) const {
+    hazards_.collect_row(tid, snapshot);
   }
 
  private:

@@ -66,6 +66,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "smr/detail/protection_tables.hpp"
 #include "smr/detail/scheme_base.hpp"
 
 namespace mp::smr {
@@ -131,14 +132,16 @@ class Hyaline : public detail::SchemeBase<Node, Hyaline<Node>> {
   /// Oracle coverage: the whole operation is covered while the slot is
   /// active — any node this thread read was either live at the activation
   /// or retired afterwards (retire-era at or past the activation era), and
-  /// every handover since the activation holds its batch for us. Same
-  /// EBR-shaped under-approximation as the other epoch-family schemes.
+  /// every handover since the activation holds its batch for us. With no
+  /// Snapshot of its own, the scheme asks the epoch family's horizon
+  /// predicate of a one-row horizon at the activation era.
   bool oracle_covers(int tid, const Node* node) const noexcept {
     const auto& slot = *slots_[tid];
-    if (slot.head.load(std::memory_order_relaxed) == inactive()) return false;
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    return retire == 0 ||
-           retire >= slot.activation_era.load(std::memory_order_relaxed);
+    detail::HorizonSnapshot<Node> row;
+    if (slot.head.load(std::memory_order_relaxed) != inactive()) {
+      row.add(slot.activation_era.load(std::memory_order_relaxed));
+    }
+    return row.protects(node);
   }
 
   /// Thread departure. The tid is quiescent by contract, so its slot holds

@@ -43,7 +43,7 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
   }
 
   /// Joins the background reclaimer while slots_ is still alive (its scan
-  /// reads the interval reservations through collect_snapshot).
+  /// reads the interval reservations through collect_row).
   ~IBR() { this->stop_reclaimer(); }
 
   void announce(int tid) noexcept {
@@ -95,19 +95,6 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
     this->oracle_pin_hook(tid, refno, node);
   }
 
-  /// Oracle coverage: the node's lifetime must intersect `tid`'s interval
-  /// reservation — born no later than the reservation's upper end, and not
-  /// retired before its lower end (retire == 0 means not yet retired).
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    const auto& slot = *slots_[tid];
-    const std::uint64_t lower = slot.lower.load(std::memory_order_relaxed);
-    if (lower == kIdle) return false;
-    const std::uint64_t upper = slot.upper.load(std::memory_order_relaxed);
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    return birth <= upper && (retire == 0 || retire >= lower);
-  }
-
   /// Thread departure: drop the interval reservation. `cached_upper` is
   /// owner-local state; resetting it here is safe because detach requires
   /// the tid to be quiescent (no owner running).
@@ -119,39 +106,35 @@ class IBR : public detail::SchemeBase<Node, IBR<Node>> {
   }
 
   /// One collected view of every active interval reservation. A node is
-  /// protected unless, for every reservation, it died before the
-  /// reservation began or was born after it ended.
+  /// protected when its [birth, lifetime_end] lifetime intersects some
+  /// reservation [lower, upper]; idle rows are never collected.
   struct Snapshot {
     struct Reservation {
       std::uint64_t lower, upper;
     };
     std::vector<Reservation> reservations;
+
+    void reset(std::size_t entries) {
+      reservations.clear();
+      reservations.reserve(entries);
+    }
+    void seal() noexcept {}
+
+    bool protects(const Node* node) const noexcept {
+      const std::uint64_t birth = node->smr_header.birth_relaxed();
+      const std::uint64_t end = node->smr_header.lifetime_end();
+      for (const auto& [lower, upper] : reservations) {
+        if (end >= lower && birth <= upper) return true;
+      }
+      return false;
+    }
   };
 
-  void collect_snapshot(Snapshot& snapshot) const {
-    snapshot.reservations.clear();
-    snapshot.reservations.reserve(this->config().max_threads);
-    for (std::size_t t = 0; t < this->config().max_threads; ++t) {
-      // One padded line per thread; fetch the next while this one loads.
-      if (t + 1 < this->config().max_threads) {
-        __builtin_prefetch(&slots_[t + 1]);
-      }
-      const std::uint64_t lower =
-          slots_[t]->lower.load(std::memory_order_acquire);
-      const std::uint64_t upper =
-          slots_[t]->upper.load(std::memory_order_acquire);
-      if (lower != kIdle) snapshot.reservations.push_back({lower, upper});
-    }
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    for (const auto& [lower, upper] : snapshot.reservations) {
-      if (!(retire < lower || birth > upper)) return true;
-    }
-    return false;
+  void collect_row(int tid, Snapshot& snapshot) const {
+    const auto& slot = *slots_[tid];
+    const std::uint64_t lower = slot.lower.load(std::memory_order_acquire);
+    const std::uint64_t upper = slot.upper.load(std::memory_order_acquire);
+    if (lower != kIdle) snapshot.reservations.push_back({lower, upper});
   }
 
  private:

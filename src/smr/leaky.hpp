@@ -28,8 +28,9 @@ class Leaky : public detail::SchemeBase<Node, Leaky<Node>> {
   /// passes — the leaky semantics, preserved.
   ~Leaky() { this->stop_reclaimer(); }
 
-  // No protocol hooks: the base bracket's plain-load read and its
-  // oracle_covers (everything covered, since nothing is ever freed) apply.
+  // No protocol hooks: the base bracket's plain-load read and its default
+  // Snapshot, whose predicate covers everything (nothing is ever freed),
+  // apply to the oracle as well.
 
   /// Never reclaims; the retired list only drains at teardown. Shadowing
   /// the base's engine pass also keeps scheduled passes from rescanning a

@@ -107,7 +107,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   }
 
   /// Joins the background reclaimer while slots_ is still alive (its scan
-  /// reads margins, hazards, and announced epochs via collect_snapshot).
+  /// reads margins, hazards, and announced epochs via collect_row).
   ~MP() { this->stop_reclaimer(); }
 
   // ---- Operation brackets (Listing 10 start_op / end_op) ----
@@ -232,35 +232,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     this->oracle_pin_hook(tid, refno, node);
   }
 
-  /// Oracle coverage (one-thread mirror of snapshot_protects): a paired
-  /// hazard slot naming the node covers it unconditionally (deviation 2);
-  /// a margin covers it when the interval contains the node's whole tag
-  /// range AND the thread's announced epoch lies inside the node's
-  /// [birth, retire] lifetime (Theorem 4.2's filter; retire == 0 means
-  /// "not yet retired", since global epochs start at 1).
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    if (slots_.names(tid, node)) return true;
-    const std::uint32_t index = node->smr_header.index_relaxed();
-    if (index == kUseHp) return false;  // only hazards protect USE_HP nodes
-    const auto& announced = slots_.row(tid).extra;
-    const std::uint64_t epoch =
-        announced.epoch.load(std::memory_order_relaxed);
-    if (epoch == 0) return false;  // idle/detached announcement
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    if (epoch < birth || (retire != 0 && epoch > retire)) return false;
-    const std::uint32_t range_lo = index & ~0xFFFFu;
-    const std::uint32_t range_hi = index | 0xFFFFu;
-    for (int i = 0; i < this->config().slots_per_thread; ++i) {
-      const std::uint32_t margin =
-          announced.margins[i].load(std::memory_order_relaxed);
-      if (margin != kNoMargin && covers(margin, range_lo, range_hi)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Oracle edge staleness: MP protection is keyed by *index*, not
   /// address, so a pointer whose tag names a different 2^16 index block
   /// than the node's current header is an edge minted for an earlier
@@ -366,7 +337,9 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   /// intervals (with the announcing thread's epoch, Theorem 4.2's filter)
   /// plus the paired hazard slots, sorted for binary search. Collected
   /// once per foreground pass — or once per reclaimer wakeup for ALL queued
-  /// batches (§6's snapshot optimization, amortized further).
+  /// batches (§6's snapshot optimization, amortized further). Compact
+  /// lists holding only *active* protections — the spirit of the
+  /// interval-index optimization §4.3 suggests.
   struct Snapshot {
     struct MarginEntry {
       std::uint32_t lo;
@@ -375,52 +348,53 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
     };
     std::vector<MarginEntry> margin_entries;
     typename Slots::Snapshot hazards;
+
+    void reset(std::size_t entries) {
+      margin_entries.clear();
+      margin_entries.reserve(entries);
+      hazards.reset(entries);
+    }
+    void seal() { hazards.seal(); }
+
+    bool protects(const Node* node) const noexcept {
+      // Hazard slots are honored unconditionally (deviation 2): an HP set
+      // in hp_mode can legitimately protect a node born after the thread's
+      // announced epoch, so no epoch filter gates this check.
+      if (hazards.protects(node)) return true;
+      const std::uint32_t index = node->smr_header.index_relaxed();
+      if (index == kUseHp) return false;  // only hazards protect USE_HP nodes
+
+      // Margins are only trusted by readers for nodes whose lifetime
+      // contains the reader's announced epoch (Theorem 4.2's filter;
+      // closed interval per deviation 1), so the reclaimer mirrors that
+      // gate. A detached row's epoch 0 precedes every birth.
+      const std::uint64_t birth = node->smr_header.birth_relaxed();
+      const std::uint64_t end = node->smr_header.lifetime_end();
+      const std::uint32_t range_lo = index & ~0xFFFFu;
+      const std::uint32_t range_hi = index | 0xFFFFu;
+      for (const auto& entry : margin_entries) {
+        if (entry.epoch < birth || entry.epoch > end) continue;
+        if (entry.lo <= range_lo && range_hi <= entry.hi) return true;
+      }
+      return false;
+    }
   };
 
-  void collect_snapshot(Snapshot& snapshot) const {
-    const int per_thread = this->config().slots_per_thread;
-    // Compact lists holding only *active* protections — the spirit of the
-    // interval-index optimization §4.3 suggests. The epoch is snapshotted
-    // before the thread's slots (see DESIGN.md: protections installed
-    // after the snapshot cannot cover nodes already retired before it).
-    snapshot.margin_entries.clear();
-    snapshot.margin_entries.reserve(this->config().max_threads *
-                                    static_cast<std::size_t>(per_thread));
-    slots_.collect(snapshot.hazards, [&](const typename Slots::Row& row) {
-      const std::uint64_t epoch =
-          row.extra.epoch.load(std::memory_order_acquire);
-      for (int i = 0; i < per_thread; ++i) {
-        const std::uint32_t margin =
-            row.extra.margins[i].load(std::memory_order_acquire);
-        if (margin != kNoMargin) {
-          snapshot.margin_entries.push_back(
-              {interval_lo(margin), interval_hi(margin), epoch});
-        }
+  /// Append `tid`'s active margins, then its hazards. The epoch is read
+  /// before the margins (see DESIGN.md: protections installed after the
+  /// snapshot cannot cover nodes already retired before it).
+  void collect_row(int tid, Snapshot& snapshot) const {
+    const auto& announced = slots_.row(tid).extra;
+    const std::uint64_t epoch = announced.epoch.load(std::memory_order_acquire);
+    for (int i = 0; i < this->config().slots_per_thread; ++i) {
+      const std::uint32_t margin =
+          announced.margins[i].load(std::memory_order_acquire);
+      if (margin != kNoMargin) {
+        snapshot.margin_entries.push_back(
+            {interval_lo(margin), interval_hi(margin), epoch});
       }
-    });
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    // Hazard slots are honored unconditionally (deviation 2): an HP set in
-    // hp_mode can legitimately protect a node born after the thread's
-    // announced epoch, so no epoch filter gates this check.
-    if (snapshot.hazards.protects(node)) return true;
-    const std::uint32_t index = node->smr_header.index_relaxed();
-    if (index == kUseHp) return false;  // only hazards protect USE_HP nodes
-
-    // Margins are only trusted by readers for nodes whose lifetime
-    // contains the reader's announced epoch (Theorem 4.2's filter; closed
-    // interval per deviation 1), so the reclaimer mirrors that gate.
-    const std::uint64_t birth = node->smr_header.birth_relaxed();
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    const std::uint32_t range_lo = index & ~0xFFFFu;
-    const std::uint32_t range_hi = index | 0xFFFFu;
-    for (const auto& entry : snapshot.margin_entries) {
-      if (entry.epoch < birth || entry.epoch > retire) continue;
-      if (entry.lo <= range_lo && range_hi <= entry.hi) return true;
     }
-    return false;
+    slots_.collect_row(tid, snapshot.hazards);
   }
 
  private:
@@ -445,13 +419,6 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   }
   std::uint32_t interval_hi(std::uint32_t margin) const noexcept {
     return margin <= kUseHp - margin_half_ ? margin + margin_half_ : kUseHp;
-  }
-
-  /// Does the margin interval around announced value `margin` cover the
-  /// whole index range [lo, hi]?
-  bool covers(std::uint32_t margin, std::uint32_t lo,
-              std::uint32_t hi) const noexcept {
-    return interval_lo(margin) <= lo && hi <= interval_hi(margin);
   }
 
   const std::uint32_t margin_half_;

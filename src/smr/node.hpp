@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace mp::smr {
 
@@ -45,6 +46,15 @@ struct NodeHeader {
   }
   std::uint64_t retire_relaxed() const noexcept {
     return retire_epoch.load(std::memory_order_relaxed);
+  }
+
+  /// Last epoch of the node's lifetime [birth, lifetime_end]: its retire
+  /// epoch, or "forever" while it is not yet retired (retire == 0; epochs
+  /// start at 1, so every retired node carries retire >= 1). Every
+  /// lifetime predicate reads the end through here.
+  std::uint64_t lifetime_end() const noexcept {
+    const std::uint64_t retire = retire_relaxed();
+    return retire == 0 ? std::numeric_limits<std::uint64_t>::max() : retire;
   }
 
   /// The 16-bit tag packed into pointers to this node.

@@ -23,9 +23,12 @@
 // detail::SchemeBase; a scheme supplies only its protection protocol as
 // hooks the bracket calls — announce(tid) at start_op, withdraw(tid) at
 // end_op, protect(tid, refno, src, stats) inside read — plus its
-// kEpochClock tick schedule and its reclamation predicate (scheme_base.hpp
-// lists them). HP's slots and MP's paired hazards share one hazard table,
-// EBR and DTA one announced-epoch table (detail/protection_tables.hpp).
+// kEpochClock tick schedule and its one protection predicate
+// (Snapshot::protects, fed per thread by collect_row), which both the
+// reclaimer and the oracle ask (scheme_base.hpp lists the hooks). HP's
+// slots and MP's paired hazards share one hazard table, EBR and DTA one
+// announced-epoch table, and EBR, DTA and Stamp-it one horizon snapshot
+// (detail/protection_tables.hpp).
 //
 // Schemes:            wasted memory            per-read cost
 //   Leaky             unbounded (never frees)  plain load
@@ -99,21 +102,27 @@ concept SmrSchemeCore =
       { s.on_detach(tid) };
       { cs.epoch_now() } -> std::same_as<std::uint64_t>;
       { S::waste_bound_per_thread(config) } -> std::same_as<std::uint64_t>;
-      // ProtectionOracle coverage predicate (oracle.hpp): defined in both
-      // build arms (it reports the scheme's own protection state and has
-      // no oracle dependency), so the concept holds with SMR_ORACLE OFF.
+      // ProtectionOracle coverage predicate (oracle.hpp): the scheme's
+      // own Snapshot::protects asked of a one-row snapshot of tid's
+      // announcements (SchemeBase; Hyaline, with no Snapshot, asks a
+      // one-row horizon). Defined in both build arms (no oracle
+      // dependency), so the concept holds with SMR_ORACLE OFF.
       { cs.oracle_covers(tid, cnode) } -> std::same_as<bool>;
       // Per-thread reclamation pass — the engine's snapshot filter or a
       // snapshot-free handover, the caller doesn't care.
       { s.empty(tid) };
     };
 
-/// The snapshot-scan capability — all a scheme supplies to the reclamation
-/// engine (reclaimer.hpp's filter_step, driven by the foreground ScanCursor
-/// and the background pass): one hazard/epoch snapshot, collectable from a
-/// const scheme and reusable across many retired-batch scans. Snapshot-free schemes (Hyaline) define
-/// `Snapshot = void`, which fails every clause here by substitution — that
-/// is the designed signal, not an error.
+/// The snapshot-scan capability — all the reclamation engine needs
+/// (reclaimer.hpp's filter_step, driven by the foreground ScanCursor and
+/// the background pass): one hazard/epoch snapshot, collectable from a
+/// const scheme and reusable across many retired-batch scans. A scheme
+/// supplies only its Snapshot type, whose protects(node) is its one
+/// protection predicate, and collect_row(tid, snapshot); SchemeBase
+/// defines collect_snapshot (every row, then seal) and snapshot_protects
+/// from them. Snapshot-free schemes (Hyaline) define `Snapshot = void`,
+/// which fails every clause here by substitution — that is the designed
+/// signal, not an error.
 template <typename S>
 concept SnapshotReclaimable =
     std::default_initializable<typename S::Snapshot> &&

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "smr/detail/protection_tables.hpp"
 #include "smr/detail/scheme_base.hpp"
 
 namespace mp::smr {
@@ -104,17 +105,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
     entry.state.store(kQuiescent, std::memory_order_release);
   }
 
-  /// Oracle coverage (one-thread mirror of snapshot_protects): while this
-  /// thread's entry is active, its own stamp bounds the horizon from
-  /// above, so anything retired at or after the stamp is protected.
-  bool oracle_covers(int tid, const Node* node) const noexcept {
-    const auto& entry = *entries_[tid];
-    if (entry.state.load(std::memory_order_relaxed) != kActive) return false;
-    const std::uint64_t retire = node->smr_header.retire_relaxed();
-    return retire == 0 ||
-           retire >= entry.stamp.load(std::memory_order_relaxed);
-  }
-
   /// Thread departure: take the entry out of the list so a dead thread's
   /// stale stamp never holds the horizon back. The tid is quiescent by
   /// contract (kQuiescent in-list, or already popped to kRemoved).
@@ -132,9 +122,16 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
   /// One horizon stamp — the whole protection snapshot. A retired node is
   /// freed once every operation that could have seen it (stamp < retire
   /// stamp is impossible for a reachable node) has left the list.
-  struct Snapshot {
-    std::uint64_t horizon = 0;
-  };
+  using Snapshot = detail::HorizonSnapshot<Node>;
+
+  /// One row: the entry's own stamp while it is active. The all-rows
+  /// collection below reads the published head stamp instead of looping.
+  void collect_row(int tid, Snapshot& snapshot) const noexcept {
+    const auto& entry = *entries_[tid];
+    if (entry.state.load(std::memory_order_acquire) == kActive) {
+      snapshot.add(entry.stamp.load(std::memory_order_acquire));
+    }
+  }
 
   /// Concept-visible O(1) collection: read the published horizon.
   void collect_snapshot(Snapshot& snapshot) const noexcept {
@@ -151,11 +148,6 @@ class Stampit : public detail::SchemeBase<Node, Stampit<Node>> {
       list_mutex_.unlock();
     }
     snapshot.horizon = horizon_.load(std::memory_order_acquire);
-  }
-
-  bool snapshot_protects(const Node* node,
-                         const Snapshot& snapshot) const noexcept {
-    return node->smr_header.retire_relaxed() >= snapshot.horizon;
   }
 
  private:

@@ -293,7 +293,8 @@ class OracleStaleEpochTest : public ::testing::Test {};
 
 using EpochSchemeTags =
     ::testing::Types<mp::test::SchemeTag<mp::smr::EBR>,
-                     mp::test::SchemeTag<mp::smr::IBR>>;
+                     mp::test::SchemeTag<mp::smr::IBR>,
+                     mp::test::SchemeTag<mp::smr::DTA>>;
 TYPED_TEST_SUITE(OracleStaleEpochTest, EpochSchemeTags,
                  mp::test::SchemeTagNames);
 

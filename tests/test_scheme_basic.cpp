@@ -11,6 +11,7 @@ namespace {
 using mp::smr::Config;
 using mp::smr::TaggedPtr;
 using mp::test::AllSchemeTags;
+using mp::test::SchemeTag;
 using mp::test::SchemeTagNames;
 using mp::test::TestNode;
 
@@ -212,6 +213,64 @@ TYPED_TEST(SchemeBasicTest, UnprotectedRetiredNodesEventuallyReclaimed) {
     EXPECT_GT(snapshot.reclaims, 0u);
     EXPECT_LT(scheme.outstanding(), 256u);
   }
+}
+
+// ---- One protection predicate, two consumers ----
+//
+// The reclaimer frees with collect_snapshot + snapshot_protects; the
+// ProtectionOracle asserts oracle_covers on every protected read. Both ask
+// the same question of the same announcements, so they must agree: inside
+// tid 0's operation the node it read is protected by both, and once
+// end_op(0) withdraws the announcement by neither. Typed over the
+// snapshot schemes that reclaim (Leaky's predicate protects everything by
+// design; Hyaline has no snapshot).
+template <typename Tag>
+class ProtectionPredicateTest : public ::testing::Test {};
+
+using SnapshotSchemeTags = ::testing::Types<
+    SchemeTag<mp::smr::EBR>, SchemeTag<mp::smr::DTA>, SchemeTag<mp::smr::HP>,
+    SchemeTag<mp::smr::HE>, SchemeTag<mp::smr::IBR>, SchemeTag<mp::smr::MP>,
+    SchemeTag<mp::smr::Stampit>>;
+TYPED_TEST_SUITE(ProtectionPredicateTest, SnapshotSchemeTags, SchemeTagNames);
+
+/// Tid 0 reads a node carrying `index`; tid 1 unlinks and retires it.
+template <typename Scheme>
+void expect_both_halves_agree(std::uint32_t index) {
+  Config config;
+  config.max_threads = 4;
+  config.slots_per_thread = 4;
+  config.empty_freq = 64;  // no scheduled pass inside the test
+  Scheme scheme(config);
+  TestNode* node = scheme.alloc(0, 5u);
+  scheme.set_index(node, index);
+  mp::smr::AtomicTaggedPtr cell(scheme.make_link(node));
+  typename Scheme::Snapshot snapshot;
+
+  scheme.start_op(0);
+  ASSERT_EQ(scheme.read(0, 0, cell).template ptr<TestNode>(), node);
+  scheme.start_op(1);
+  cell.store(TaggedPtr::null());
+  scheme.retire(1, node);
+  scheme.end_op(1);
+  EXPECT_TRUE(scheme.oracle_covers(0, node));
+  scheme.collect_snapshot(snapshot);
+  EXPECT_TRUE(scheme.snapshot_protects(node, snapshot));
+
+  scheme.end_op(0);
+  EXPECT_FALSE(scheme.oracle_covers(0, node));
+  // Stamp-it: the non-const collection reaps the quiescent entries first.
+  scheme.collect_snapshot(snapshot);
+  EXPECT_FALSE(scheme.snapshot_protects(node, snapshot));
+}
+
+// MP: the margin path.
+TYPED_TEST(ProtectionPredicateTest, BothHalvesAgreeOnIndexedNode) {
+  expect_both_halves_agree<typename TypeParam::type>(0x12345678u);
+}
+
+// MP: the hazard path.
+TYPED_TEST(ProtectionPredicateTest, BothHalvesAgreeOnUseHpNode) {
+  expect_both_halves_agree<typename TypeParam::type>(mp::smr::kUseHp);
 }
 
 }  // namespace
