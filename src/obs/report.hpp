@@ -7,7 +7,7 @@
 //
 //   {
 //     "schema":  "marginptr-bench-report",
-//     "version": 5,
+//     "version": 8,
 //     "bench":   "<binary name>",
 //     "config":  { free-form run parameters },
 //     "rows": [
@@ -17,7 +17,8 @@
 //         "stats":      { the full StatsSnapshot },  // optional
 //         "waste":      { "bound": n|null, "peak_retired": n,
 //                         "bounded": b, "within_bound": b|null },
-//         "latency_ns": { "<op>": {count,mean,max,p50,p90,p99,p999}, ... }
+//         "latency_ns": { "<op>": {count,mean,max,p50,p90,p99,p999,p100},
+//                         ... }
 //       }, ...
 //     ]
 //   }
@@ -36,43 +37,29 @@
 namespace mp::obs {
 
 inline constexpr const char* kReportSchema = "marginptr-bench-report";
-/// v2 added the thread-lifecycle counters (orphaned/adopted) to "stats";
-/// v3 added the node-pool counters (pool_hits/pool_misses/depot_exchanges,
-/// plus unlinked_frees) and the config "pool" arm; v4 added the background-
-/// reclamation counters (offloaded/inline_fallbacks/bg_snapshots/bg_scans/
-/// peak_inflight) and the config "reclaim" arm; v5 added the service layer
-/// (src/svc/): rows may carry a per-shard domain breakdown
-///   "shards": [ { "shard": n, "stats": {...}, "waste": {...} }, ... ]
-/// and a latency-SLO verdict
-///   "slo": { "p99_slo_ns": n, "met": b, ... };
-/// v6 added the service resilience layer (svc/resilience.hpp): rows may
-/// carry per-status completion tallies
+/// The one schema version validate_report accepts. Besides the fields
+/// above, rows may carry the service layer's per-shard domain breakdown
+/// and latency-SLO verdict (src/svc/)
+///   "shards": [ { "shard": n, "stats": {...}, "waste": {...},
+///                 "health": { "state": "healthy"|"degraded"|"shedding",
+///                             "degraded_enters": n, "shed_enters": n,
+///                             "recoveries": n } }, ... ]
+///   "slo": { "p99_slo_ns": n, "met": b, ... }
+/// per-status completion tallies (svc/resilience.hpp)
 ///   "status_counts": { "ok": n, "not_found": n, "alloc_failed": n,
 ///                      "deadline_exceeded": n, "shed_write": n,
 ///                      "rejected": n }
-/// and "shards" entries may carry that shard's health summary
-///   "health": { "state": "healthy"|"degraded"|"shedding",
-///               "degraded_enters": n, "shed_enters": n, "recoveries": n }.
-/// v7 added deamortized reclamation (DESIGN.md §12): "stats" gained the
-/// bounded-increment counters scan_increments / cursor_carryover plus the
-/// max_pause_ns high-water, "config" gained scan_quantum, and latency
-/// histograms gained an explicit "p100" alias of "max" so tail-gate
-/// tooling can key on percentile names uniformly.
-/// v8 added the capability-split scheme API (DESIGN.md §13): rows may carry
-/// the scheme's compile-time capability flags
+/// and the scheme's compile-time capability flags (DESIGN.md §13)
 ///   "capabilities": { "snapshot_free": b, "bounded_waste": b, "robust": b }
-/// so report consumers can group schemes by reclamation capability without
-/// a name table.
-/// validate_report still accepts older documents (they predate churn mode /
-/// the pool / the background reclaimer / the sharded service / resilience /
-/// deamortization / the capability flags).
+/// "stats" holds every counter of smr/stats.hpp's table, "config" may carry
+/// the smr Config (scan_quantum, the pool and reclaim arms), and latency
+/// histograms carry "p100", an alias of "max" for tail-gate tooling.
 inline constexpr std::uint64_t kReportVersion = 8;
-inline constexpr std::uint64_t kMinReportVersion = 1;
 
 /// Every counter of the table in smr/stats.hpp, keyed by field name.
 inline json::Value to_json(const smr::StatsSnapshot& s) {
   json::Value out = json::Value::object();
-#define MP_SMR_X(name, merge, since, scope) out[#name] = s.name;
+#define MP_SMR_X(name, merge, scope) out[#name] = s.name;
   MP_SMR_COUNTERS(MP_SMR_X)
 #undef MP_SMR_X
   return out;
@@ -87,7 +74,7 @@ inline json::Value to_json(const LatencyHistogram& h) {
   out["p90"] = h.p90();
   out["p99"] = h.p99();
   out["p999"] = h.p999();
-  out["p100"] = h.max();  // v7: percentile-named alias for tail tooling
+  out["p100"] = h.max();  // percentile-named alias for tail tooling
   return out;
 }
 
@@ -125,7 +112,7 @@ inline json::Value waste_json(std::uint64_t bound_per_thread,
   return out;
 }
 
-/// One entry of a schema-v5 "shards" array: a single shard's SMR domain
+/// One entry of a row's "shards" array: a single shard's SMR domain
 /// (its stats snapshot and its waste-bound status). The service bench and
 /// svc tests emit one per shard per row.
 inline json::Value shard_json(std::size_t shard,
@@ -138,7 +125,7 @@ inline json::Value shard_json(std::size_t shard,
   return out;
 }
 
-/// A schema-v6 "status_counts" object from anything with the service
+/// A row's "status_counts" object from anything with the service
 /// layer's six per-status tallies (svc::StatusCounts; templated so obs/
 /// stays independent of svc/).
 template <typename Counts>
@@ -153,7 +140,7 @@ inline json::Value status_counts_json(const Counts& c) {
   return out;
 }
 
-/// A schema-v6 per-shard "health" object: the shard's final state name and
+/// A per-shard "health" object: the shard's final state name and
 /// its exact transition counts (svc::HealthMonitor).
 inline json::Value health_json(const char* state,
                                std::uint64_t degraded_enters,
@@ -243,24 +230,17 @@ inline bool check(bool ok, const std::string& why, std::string& error) {
   return ok;
 }
 
-/// Version-aware counter check for one "stats" object (shared by top-level
-/// row stats and the per-shard entries of a v5 "shards" array).
+/// Counter check for one "stats" object (shared by top-level row stats and
+/// the per-shard entries of a "shards" array): every counter of the table.
 inline void check_stats_counters(const json::Value& stats,
-                                 std::uint64_t version, std::string& error) {
-  check(stats.is_object(), "stats is not an object", error);
-  if (!stats.is_object()) return;
+                                 std::string& error) {
+  if (!check(stats.is_object(), "stats is not an object", error)) return;
   const auto require = [&](const char* key) {
     const json::Value* field = stats.find(key);
     check(field != nullptr && field->is_number(),
           std::string("stats missing counter '") + key + "'", error);
   };
-  // A counter is required from the report version that introduced it
-  // (the table's `since` column; 0 = never required).
-  const auto required = [version](std::uint64_t since) {
-    return since != 0 && version >= since;
-  };
-#define MP_SMR_X(name, merge, since, scope) \
-  if (required(since)) require(#name);
+#define MP_SMR_X(name, merge, scope) require(#name);
   MP_SMR_COUNTERS(MP_SMR_X)
 #undef MP_SMR_X
 }
@@ -272,7 +252,7 @@ inline void check_waste(const json::Value& waste, std::string& error) {
         "waste object incomplete", error);
 }
 
-/// v6 "status_counts": all six per-status tallies, numeric.
+/// "status_counts": all six per-status tallies, numeric.
 inline void check_status_counts(const json::Value& counts,
                                 std::string& error) {
   if (!check(counts.is_object(), "status_counts is not an object", error)) {
@@ -286,7 +266,7 @@ inline void check_status_counts(const json::Value& counts,
   }
 }
 
-/// v6 per-shard "health": a state name plus the exact transition counters.
+/// Per-shard "health": a state name plus the exact transition counters.
 inline void check_health(const json::Value& health, std::string& error) {
   if (!check(health.is_object(), "health is not an object", error)) return;
   const json::Value* state = health.find("state");
@@ -314,11 +294,8 @@ inline std::string validate_report(const json::Value& root) {
                 "schema tag missing or wrong", error);
   const json::Value* version = root.find("version");
   detail::check(version != nullptr && version->is_number() &&
-                    version->as_uint() >= kMinReportVersion &&
-                    version->as_uint() <= kReportVersion,
-                "version missing or unsupported", error);
-  const std::uint64_t ver =
-      version != nullptr && version->is_number() ? version->as_uint() : 0;
+                    version->as_uint() == kReportVersion,
+                "version missing or not the current one", error);
   const json::Value* bench = root.find("bench");
   detail::check(bench != nullptr && bench->is_string() &&
                     !bench->as_string().empty(),
@@ -340,18 +317,16 @@ inline std::string validate_report(const json::Value& root) {
     detail::check(scheme != nullptr && scheme->is_string(),
                   "row missing string 'scheme'", error);
     if (const json::Value* stats = row.find("stats"); stats != nullptr) {
-      detail::check_stats_counters(*stats, ver, error);
+      detail::check_stats_counters(*stats, error);
     }
     if (const json::Value* waste = row.find("waste"); waste != nullptr) {
       detail::check_waste(*waste, error);
     }
-    // v8: the scheme's compile-time capability flags.
+    // The scheme's compile-time capability flags.
     if (const json::Value* caps = row.find("capabilities");
         caps != nullptr) {
-      if (detail::check(ver >= 8 && caps->is_object(),
-                        "row 'capabilities' requires version >= 8 and an "
-                        "object",
-                        error)) {
+      if (detail::check(caps->is_object(),
+                        "row 'capabilities' is not an object", error)) {
         for (const char* key :
              {"snapshot_free", "bounded_waste", "robust"}) {
           const json::Value* field = caps->find(key);
@@ -362,11 +337,10 @@ inline std::string validate_report(const json::Value& root) {
         }
       }
     }
-    // v5: per-shard domain breakdown. Each entry mirrors a standalone
-    // row's stats/waste, keyed by its shard index.
+    // Per-shard domain breakdown. Each entry mirrors a standalone row's
+    // stats/waste, keyed by its shard index.
     if (const json::Value* shards = row.find("shards"); shards != nullptr) {
-      if (detail::check(ver >= 5 && shards->is_array(),
-                        "row 'shards' requires version >= 5 and an array",
+      if (detail::check(shards->is_array(), "row 'shards' is not an array",
                         error)) {
         for (const json::Value& entry : shards->as_array()) {
           if (!detail::check(entry.is_object(),
@@ -379,37 +353,29 @@ inline std::string validate_report(const json::Value& root) {
           const json::Value* stats = entry.find("stats");
           if (detail::check(stats != nullptr,
                             "shards entry missing 'stats'", error)) {
-            detail::check_stats_counters(*stats, ver, error);
+            detail::check_stats_counters(*stats, error);
           }
           if (const json::Value* waste = entry.find("waste");
               waste != nullptr) {
             detail::check_waste(*waste, error);
           }
-          // v6: the shard's health summary.
+          // The shard's health summary.
           if (const json::Value* health = entry.find("health");
               health != nullptr) {
-            if (detail::check(
-                    ver >= 6,
-                    "shards entry 'health' requires version >= 6", error)) {
-              detail::check_health(*health, error);
-            }
+            detail::check_health(*health, error);
           }
         }
       }
     }
-    // v6: per-status completion tallies for service rows.
+    // Per-status completion tallies for service rows.
     if (const json::Value* counts = row.find("status_counts");
         counts != nullptr) {
-      if (detail::check(ver >= 6,
-                        "row 'status_counts' requires version >= 6", error)) {
-        detail::check_status_counts(*counts, error);
-      }
+      detail::check_status_counts(*counts, error);
     }
-    // v5: latency-SLO verdict for service rows.
+    // Latency-SLO verdict for service rows.
     if (const json::Value* slo = row.find("slo"); slo != nullptr) {
-      detail::check(ver >= 5 && slo->is_object(),
-                    "row 'slo' requires version >= 5 and an object", error);
-      if (slo->is_object()) {
+      if (detail::check(slo->is_object(), "row 'slo' is not an object",
+                        error)) {
         const json::Value* target = slo->find("p99_slo_ns");
         detail::check(target != nullptr && target->is_number(),
                       "slo missing numeric 'p99_slo_ns'", error);
@@ -426,19 +392,11 @@ inline std::string validate_report(const json::Value& root) {
       }
       for (const auto& [op, hist] : latency->as_object()) {
         for (const char* key : {"count", "mean", "max", "p50", "p90", "p99",
-                                "p999"}) {
+                                "p999", "p100"}) {
           const json::Value* field = hist.find(key);
           detail::check(field != nullptr && field->is_number(),
                         "latency histogram for '" + op + "' missing '" +
                             key + "'",
-                        error);
-        }
-        // v7: the explicit p100 alias of max.
-        if (ver >= 7) {
-          const json::Value* p100 = hist.find("p100");
-          detail::check(p100 != nullptr && p100->is_number(),
-                        "latency histogram for '" + op +
-                            "' missing 'p100' (required at version >= 7)",
                         error);
         }
       }

@@ -3,7 +3,7 @@
 // whose detach hook is wired to Scheme::detach(); mid-workload the
 // injector kills a worker's lease, orphaning its retired list and
 // clearing its protection state, and the worker re-registers as a fresh
-// leaseholder. Across every reclaiming scheme × three structures this
+// leaseholder. Across every reclaiming scheme × four structures this
 // must preserve:
 //   * structural validity and the size == inserts - removes identity,
 //   * the allocation identity retires == reclaims + drained once the
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/thread_registry.hpp"
+#include "ds/michael_hashset.hpp"
 #include "ds_test_util.hpp"
 #include "test_util.hpp"
 
@@ -208,6 +209,14 @@ void survive_churn(std::uint64_t seed, bool background_reclaim = false) {
   oracle.expect_clean();
 }
 
+/// The hash-churn workload's structure, multi-bucket, behind the one-
+/// argument constructor survive_churn uses.
+template <template <typename> class SchemeT>
+struct ChurnHashSet : mp::ds::MichaelHashSet<SchemeT> {
+  explicit ChurnHashSet(const Config& config)
+      : mp::ds::MichaelHashSet<SchemeT>(config, 16) {}
+};
+
 template <typename Tag>
 class ChurnTortureTest : public ::testing::Test {};
 TYPED_TEST_SUITE(ChurnTortureTest, mp::test::ReclaimingSchemeTags,
@@ -223,6 +232,10 @@ TYPED_TEST(ChurnTortureTest, FraserSkipListSurvivesChurn) {
 
 TYPED_TEST(ChurnTortureTest, NatarajanTreeSurvivesChurn) {
   survive_churn<mp::ds::NatarajanTree<TypeParam::template scheme>>(606);
+}
+
+TYPED_TEST(ChurnTortureTest, MichaelHashSetSurvivesChurn) {
+  survive_churn<ChurnHashSet<TypeParam::template scheme>>(909);
 }
 
 // Churn with the background reclaimer on: departures now race the bg

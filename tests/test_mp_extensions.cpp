@@ -4,6 +4,7 @@
 // possible"), plus the index-collision statistic behind the §4.6 analysis.
 #include <gtest/gtest.h>
 
+#include "ds/michael_hashset.hpp"
 #include "ds/michael_list.hpp"
 #include "ds_test_util.hpp"
 #include "test_util.hpp"
@@ -235,6 +236,13 @@ TEST(MpIndexInvariant, ConcurrentChurnPreservesListIndexOrder) {
   mp::ds::MichaelList<mp::smr::MP> list(mp::test::ds_config(8, 4, 4));
   mp::test::concurrent_mix_check(list, 8, 3000, 512, 50, 50);
   EXPECT_TRUE(list.validate_indices());
+}
+
+TEST(MpIndexInvariant, ConcurrentChurnPreservesHashSetIndexOrder) {
+  using Set = mp::ds::MichaelHashSet<mp::smr::MP>;
+  Set set(mp::test::ds_config(8, Set::kRequiredSlots, 4), 16);
+  mp::test::concurrent_mix_check(set, 8, 4000, 1024, 50, 50);
+  EXPECT_TRUE(set.validate_indices());
 }
 
 TEST(MpIndexInvariant, ConcurrentChurnPreservesSkipListIndexOrder) {

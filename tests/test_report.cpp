@@ -1,7 +1,8 @@
 // JSON layer and bench-report schema:
 //   * json::Value writer/parser round-trip, including string escaping and
 //     exact uint64 numbers beyond 2^53;
-//   * validate_report over in-process BenchReport documents;
+//   * validate_report over in-process BenchReport documents and over the
+//     BENCH_*.json reports committed at the repo root;
 //   * golden-file check: spawn a real bench binary (fig5_fences) with tiny
 //     parameters and validate the BENCH_*.json it writes.
 #include <gtest/gtest.h>
@@ -9,12 +10,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "obs/report.hpp"
-#include "svc/resilience.hpp"  // StatusCounts for the v6 row tests
+#include "svc/resilience.hpp"  // StatusCounts for the service row tests
 
 namespace {
 
@@ -27,6 +29,19 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// A current-version document holding the one row.
+json::Value doc_with_row(json::Value row) {
+  json::Value rows = json::Value::array();
+  rows.push_back(std::move(row));
+  json::Value doc = json::Value::object();
+  doc["schema"] = mp::obs::kReportSchema;
+  doc["version"] = mp::obs::kReportVersion;
+  doc["bench"] = "unit_test";
+  doc["config"] = json::Value::object();
+  doc["rows"] = rows;
+  return doc;
 }
 
 TEST(JsonTest, RoundTripPreservesStructureAndExactIntegers) {
@@ -111,138 +126,37 @@ TEST(ReportTest, FullRowValidates) {
   EXPECT_EQ(validate_report(json::parse(doc.dump(2))), "");
 }
 
-TEST(ReportTest, VersionOneDocumentsStillValidate) {
-  // v1 reports predate the thread-lifecycle counters: their stats objects
-  // carry no orphaned/adopted, and the validator must keep accepting them
-  // so the perf trajectory stays parseable across the schema bump.
-  json::Value stats = json::Value::object();
-  for (const char* key : {"fences", "reads", "allocs", "retires", "reclaims",
-                          "drained", "empties", "peak_retired",
-                          "emergency_empties"}) {
-    stats[key] = 1;
-  }
+TEST(ReportTest, OnlyTheCurrentVersionValidates) {
   json::Value row = json::Value::object();
   row["figure"] = "fig0";
   row["scheme"] = "MP";
-  row["stats"] = stats;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{1};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
+  row["stats"] = mp::obs::to_json(mp::smr::StatsSnapshot{});
+  json::Value doc = doc_with_row(row);
   EXPECT_EQ(validate_report(doc), "");
-
-  // The same stats object under the current version must be rejected:
-  // current emitters always include the lifecycle counters.
-  doc["version"] = mp::obs::kReportVersion;
-  EXPECT_NE(validate_report(doc), "");
-
-  // And versions beyond the writer's are unsupported.
-  doc["version"] = mp::obs::kReportVersion + 1;
-  EXPECT_NE(validate_report(doc), "");
+  for (std::uint64_t version = 0; version <= mp::obs::kReportVersion + 1;
+       ++version) {
+    if (version == mp::obs::kReportVersion) continue;
+    doc["version"] = version;
+    EXPECT_NE(validate_report(doc), "") << "version " << version;
+  }
+  doc["version"] = "8";
+  EXPECT_NE(validate_report(doc), "") << "a non-numeric version";
 }
 
-TEST(ReportTest, VersionTwoDocumentsStillValidate) {
-  // v2 reports carry the lifecycle counters but predate the node-pool
-  // counters; they must keep validating under v2 and be rejected if they
-  // claim v3.
-  json::Value stats = json::Value::object();
-  for (const char* key : {"fences", "reads", "allocs", "retires", "reclaims",
-                          "drained", "empties", "peak_retired",
-                          "emergency_empties", "orphaned", "adopted"}) {
-    stats[key] = 1;
+TEST(ReportTest, EveryStatsCounterIsRequired) {
+  const json::Value stats = mp::obs::to_json(mp::smr::StatsSnapshot{});
+  for (const auto& [missing, unused] : stats.as_object()) {
+    json::Value pruned = json::Value::object();
+    for (const auto& [key, value] : stats.as_object()) {
+      if (key != missing) pruned[key] = value;
+    }
+    json::Value row = json::Value::object();
+    row["figure"] = "fig0";
+    row["scheme"] = "MP";
+    row["stats"] = pruned;
+    EXPECT_NE(validate_report(doc_with_row(row)), "")
+        << "stats without '" << missing << "'";
   }
-  json::Value row = json::Value::object();
-  row["figure"] = "fig0";
-  row["scheme"] = "MP";
-  row["stats"] = stats;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{2};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
-  EXPECT_EQ(validate_report(doc), "");
-
-  // A v3 document without the pool counters is malformed.
-  doc["version"] = std::uint64_t{3};
-  EXPECT_NE(validate_report(doc), "");
-}
-
-TEST(ReportTest, VersionThreeDocumentsStillValidate) {
-  // v3 reports carry the pool counters but predate the background-
-  // reclamation counters; they must keep validating under v3 and be
-  // rejected if they claim v4.
-  json::Value stats = json::Value::object();
-  for (const char* key : {"fences", "reads", "allocs", "retires", "reclaims",
-                          "drained", "empties", "peak_retired",
-                          "emergency_empties", "orphaned", "adopted",
-                          "pool_hits", "pool_misses", "depot_exchanges",
-                          "unlinked_frees"}) {
-    stats[key] = 1;
-  }
-  json::Value row = json::Value::object();
-  row["figure"] = "fig0";
-  row["scheme"] = "MP";
-  row["stats"] = stats;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{3};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
-  EXPECT_EQ(validate_report(doc), "");
-
-  // A v4 document without the background-reclamation counters is malformed.
-  doc["version"] = std::uint64_t{4};
-  EXPECT_NE(validate_report(doc), "");
-}
-
-TEST(ReportTest, VersionFourDocumentsStillValidate) {
-  // v4 reports carry the background-reclamation counters but predate the
-  // service layer (v5's "shards"/"slo" rows). They must keep validating —
-  // and a v4 document may not smuggle in v5-only row sections.
-  json::Value stats = json::Value::object();
-  for (const char* key : {"fences", "reads", "allocs", "retires", "reclaims",
-                          "drained", "empties", "peak_retired",
-                          "emergency_empties", "orphaned", "adopted",
-                          "pool_hits", "pool_misses", "depot_exchanges",
-                          "unlinked_frees", "offloaded", "inline_fallbacks",
-                          "bg_snapshots", "bg_scans", "peak_inflight"}) {
-    stats[key] = 1;
-  }
-  json::Value row = json::Value::object();
-  row["figure"] = "fig0";
-  row["scheme"] = "MP";
-  row["stats"] = stats;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{4};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
-  EXPECT_EQ(validate_report(doc), "");
-
-  // "shards" is a v5 construct: a v4 document carrying one is malformed.
-  json::Value shard_row = row;
-  json::Value shards = json::Value::array();
-  shards.push_back(mp::obs::shard_json(0, mp::smr::StatsSnapshot{}, 100));
-  shard_row["shards"] = shards;
-  json::Value bad_rows = json::Value::array();
-  bad_rows.push_back(shard_row);
-  doc["rows"] = bad_rows;
-  EXPECT_NE(validate_report(doc), "");
-  doc["version"] = std::uint64_t{5};
-  EXPECT_EQ(validate_report(doc), "");
 }
 
 TEST(ReportTest, VersionFiveShardAndSloRowsValidate) {
@@ -266,55 +180,6 @@ TEST(ReportTest, VersionFiveShardAndSloRowsValidate) {
   const json::Value doc = report.document();
   EXPECT_EQ(validate_report(doc), "");
   EXPECT_EQ(validate_report(json::parse(doc.dump(2))), "");
-}
-
-TEST(ReportTest, VersionFiveDocumentsStillValidate) {
-  // v5 reports carry shards/slo rows but predate the resilience layer
-  // (v6's "status_counts" row section and per-shard "health"). They must
-  // keep validating — and a v5 document may not smuggle in v6 sections.
-  mp::smr::StatsSnapshot stats;
-  json::Value row = json::Value::object();
-  row["figure"] = "svc_closed_loop";
-  row["scheme"] = "EBR";
-  row["stats"] = mp::obs::to_json(stats);
-  json::Value shards = json::Value::array();
-  shards.push_back(mp::obs::shard_json(0, stats, 100));
-  row["shards"] = shards;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{5};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
-  EXPECT_EQ(validate_report(doc), "");
-
-  // "status_counts" is a v6 construct: a v5 document carrying one is
-  // malformed; the same document claiming v6 validates.
-  json::Value v6_row = row;
-  v6_row["status_counts"] = mp::obs::status_counts_json(mp::svc::StatusCounts{});
-  json::Value v6_rows = json::Value::array();
-  v6_rows.push_back(v6_row);
-  doc["rows"] = v6_rows;
-  EXPECT_NE(validate_report(doc), "");
-  doc["version"] = std::uint64_t{6};
-  EXPECT_EQ(validate_report(doc), "");
-
-  // Likewise a per-shard "health" object.
-  json::Value shard_entry = mp::obs::shard_json(0, stats, 100);
-  shard_entry["health"] = mp::obs::health_json("healthy", 0, 0, 0);
-  json::Value health_shards = json::Value::array();
-  health_shards.push_back(shard_entry);
-  json::Value health_row = row;
-  health_row["shards"] = health_shards;
-  json::Value health_rows = json::Value::array();
-  health_rows.push_back(health_row);
-  doc["rows"] = health_rows;
-  doc["version"] = std::uint64_t{5};
-  EXPECT_NE(validate_report(doc), "");
-  doc["version"] = std::uint64_t{6};
-  EXPECT_EQ(validate_report(doc), "");
 }
 
 TEST(ReportTest, VersionSixStatusCountsAndHealthRoundTrip) {
@@ -354,47 +219,6 @@ TEST(ReportTest, VersionSixStatusCountsAndHealthRoundTrip) {
   ASSERT_NE(health, nullptr);
   EXPECT_EQ(health->find("state")->as_string(), "degraded");
   EXPECT_EQ(health->find("degraded_enters")->as_uint(), 2u);
-}
-
-TEST(ReportTest, VersionSixDocumentsStillValidate) {
-  // v6 reports predate deamortization (v7's scan_increments /
-  // cursor_carryover / max_pause_ns stats counters and the histogram
-  // "p100" alias). They must keep validating as v6 — and be rejected if
-  // they claim v7 without the new fields.
-  json::Value stats = json::Value::object();
-  for (const char* key :
-       {"fences", "reads", "allocs", "retires", "reclaims", "drained",
-        "empties", "peak_retired", "emergency_empties", "orphaned",
-        "adopted", "pool_hits", "pool_misses", "depot_exchanges",
-        "unlinked_frees", "offloaded", "inline_fallbacks", "bg_snapshots",
-        "bg_scans", "peak_inflight"}) {
-    stats[key] = std::uint64_t{1};
-  }
-  json::Value hist = json::Value::object();
-  for (const char* key :
-       {"count", "mean", "max", "p50", "p90", "p99", "p999"}) {
-    hist[key] = std::uint64_t{1};  // no "p100": a v6 writer never emits it
-  }
-  json::Value latency = json::Value::object();
-  latency["contains"] = hist;
-  json::Value row = json::Value::object();
-  row["figure"] = "fig0";
-  row["scheme"] = "MP";
-  row["stats"] = stats;
-  row["latency_ns"] = latency;
-  json::Value rows = json::Value::array();
-  rows.push_back(row);
-  json::Value doc = json::Value::object();
-  doc["schema"] = mp::obs::kReportSchema;
-  doc["version"] = std::uint64_t{6};
-  doc["bench"] = "legacy";
-  doc["config"] = json::Value::object();
-  doc["rows"] = rows;
-  EXPECT_EQ(validate_report(doc), "");
-
-  // The same document claiming v7 lacks the bounded-increment counters.
-  doc["version"] = std::uint64_t{7};
-  EXPECT_NE(validate_report(doc), "");
 }
 
 TEST(ReportTest, VersionSevenTailFieldsRoundTrip) {
@@ -444,30 +268,6 @@ TEST(ReportTest, VersionSevenTailFieldsRoundTrip) {
 }
 
 TEST(ReportTest, ValidatorFlagsMissingTailFieldsAtVersionSeven) {
-  const auto make_doc = [](json::Value row) {
-    json::Value rows = json::Value::array();
-    rows.push_back(std::move(row));
-    json::Value doc = json::Value::object();
-    doc["schema"] = mp::obs::kReportSchema;
-    doc["version"] = std::uint64_t{7};
-    doc["bench"] = "pause_unit";
-    doc["config"] = json::Value::object();
-    doc["rows"] = rows;
-    return doc;
-  };
-
-  {  // a stats object without one of the new counters
-    json::Value stats = mp::obs::to_json(mp::smr::StatsSnapshot{});
-    json::Value pruned = json::Value::object();
-    for (const auto& [key, value] : stats.as_object()) {
-      if (std::string(key) != "max_pause_ns") pruned[key] = value;
-    }
-    json::Value row = json::Value::object();
-    row["figure"] = "pause_ab";
-    row["scheme"] = "MP";
-    row["stats"] = pruned;
-    EXPECT_NE(validate_report(make_doc(row)), "");
-  }
   {  // a histogram without p100
     json::Value hist = json::Value::object();
     for (const char* key :
@@ -480,7 +280,7 @@ TEST(ReportTest, ValidatorFlagsMissingTailFieldsAtVersionSeven) {
     row["figure"] = "pause_ab";
     row["scheme"] = "MP";
     row["latency_ns"] = latency;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // p100 present but non-numeric
     json::Value hist = mp::obs::to_json(mp::obs::LatencyHistogram{});
@@ -491,26 +291,14 @@ TEST(ReportTest, ValidatorFlagsMissingTailFieldsAtVersionSeven) {
     row["figure"] = "pause_ab";
     row["scheme"] = "MP";
     row["latency_ns"] = latency;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
 }
 
 TEST(ReportTest, VersionEightCapabilityFlags) {
-  // v8: rows may carry the scheme's compile-time capability flags
-  // (capability-split API, DESIGN.md §13). Earlier writers never emit
-  // them, so their presence requires the version; when present all three
-  // flags must be booleans.
-  const auto make_doc = [](json::Value row, std::uint64_t version) {
-    json::Value rows = json::Value::array();
-    rows.push_back(std::move(row));
-    json::Value doc = json::Value::object();
-    doc["schema"] = mp::obs::kReportSchema;
-    doc["version"] = version;
-    doc["bench"] = "caps_unit";
-    doc["config"] = json::Value::object();
-    doc["rows"] = rows;
-    return doc;
-  };
+  // Rows may carry the scheme's compile-time capability flags
+  // (capability-split API, DESIGN.md §13); when present all three flags
+  // must be booleans.
   json::Value caps = json::Value::object();
   caps["snapshot_free"] = true;
   caps["bounded_waste"] = false;
@@ -520,19 +308,17 @@ TEST(ReportTest, VersionEightCapabilityFlags) {
   row["scheme"] = "Hyaline";
   row["capabilities"] = caps;
 
-  EXPECT_EQ(validate_report(make_doc(row, 8)), "");
-  const json::Value parsed = json::parse(make_doc(row, 8).dump(2));
+  EXPECT_EQ(validate_report(doc_with_row(row)), "");
+  const json::Value parsed = json::parse(doc_with_row(row).dump(2));
   EXPECT_EQ(validate_report(parsed), "");
   const json::Value& round = parsed.find("rows")->as_array()[0];
   EXPECT_TRUE(round.find("capabilities")->find("snapshot_free")->as_bool());
   EXPECT_FALSE(round.find("capabilities")->find("bounded_waste")->as_bool());
 
-  // A document claiming v7 must not carry them.
-  EXPECT_NE(validate_report(make_doc(row, 7)), "");
   {  // capabilities must be an object
     json::Value bad = row;
     bad["capabilities"] = json::Value::array();
-    EXPECT_NE(validate_report(make_doc(bad, 8)), "");
+    EXPECT_NE(validate_report(doc_with_row(bad)), "");
   }
   {  // missing one of the three flags
     json::Value pruned = json::Value::object();
@@ -540,29 +326,18 @@ TEST(ReportTest, VersionEightCapabilityFlags) {
     pruned["bounded_waste"] = false;  // no "robust"
     json::Value bad = row;
     bad["capabilities"] = pruned;
-    EXPECT_NE(validate_report(make_doc(bad, 8)), "");
+    EXPECT_NE(validate_report(doc_with_row(bad)), "");
   }
   {  // a flag that is not a boolean
     json::Value nonbool = caps;
     nonbool["robust"] = std::uint64_t{1};
     json::Value bad = row;
     bad["capabilities"] = nonbool;
-    EXPECT_NE(validate_report(make_doc(bad, 8)), "");
+    EXPECT_NE(validate_report(doc_with_row(bad)), "");
   }
 }
 
 TEST(ReportTest, ValidatorFlagsMalformedStatusCountsAndHealth) {
-  const auto make_doc = [](json::Value row) {
-    json::Value rows = json::Value::array();
-    rows.push_back(std::move(row));
-    json::Value doc = json::Value::object();
-    doc["schema"] = mp::obs::kReportSchema;
-    doc["version"] = std::uint64_t{6};
-    doc["bench"] = "svc_unit";
-    doc["config"] = json::Value::object();
-    doc["rows"] = rows;
-    return doc;
-  };
   json::Value base = json::Value::object();
   base["figure"] = "svc_overload";
   base["scheme"] = "EBR";
@@ -570,7 +345,7 @@ TEST(ReportTest, ValidatorFlagsMalformedStatusCountsAndHealth) {
   {  // status_counts must be an object
     json::Value row = base;
     row["status_counts"] = json::Value::array();
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // status_counts missing one of the six tallies
     json::Value counts = json::Value::object();
@@ -581,7 +356,7 @@ TEST(ReportTest, ValidatorFlagsMalformedStatusCountsAndHealth) {
     }
     json::Value row = base;
     row["status_counts"] = counts;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // health without a state name
     json::Value health = json::Value::object();
@@ -594,7 +369,7 @@ TEST(ReportTest, ValidatorFlagsMalformedStatusCountsAndHealth) {
     shards.push_back(entry);
     json::Value row = base;
     row["shards"] = shards;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // health counters must be numeric
     json::Value health = mp::obs::health_json("shedding", 0, 0, 0);
@@ -605,22 +380,11 @@ TEST(ReportTest, ValidatorFlagsMalformedStatusCountsAndHealth) {
     shards.push_back(entry);
     json::Value row = base;
     row["shards"] = shards;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
 }
 
 TEST(ReportTest, ValidatorFlagsMalformedShardAndSloSections) {
-  const auto make_doc = [](json::Value row) {
-    json::Value rows = json::Value::array();
-    rows.push_back(std::move(row));
-    json::Value doc = json::Value::object();
-    doc["schema"] = mp::obs::kReportSchema;
-    doc["version"] = mp::obs::kReportVersion;
-    doc["bench"] = "svc_unit";
-    doc["config"] = json::Value::object();
-    doc["rows"] = rows;
-    return doc;
-  };
   json::Value base = json::Value::object();
   base["figure"] = "svc_closed_loop";
   base["scheme"] = "EBR";
@@ -632,7 +396,7 @@ TEST(ReportTest, ValidatorFlagsMalformedShardAndSloSections) {
     shards.push_back(entry);
     json::Value row = base;
     row["shards"] = shards;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // shards entry without stats
     json::Value entry = json::Value::object();
@@ -641,9 +405,9 @@ TEST(ReportTest, ValidatorFlagsMalformedShardAndSloSections) {
     shards.push_back(entry);
     json::Value row = base;
     row["shards"] = shards;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
-  {  // shards entry whose stats lack the version's counters
+  {  // shards entry whose stats lack the table's counters
     json::Value entry = json::Value::object();
     entry["shard"] = std::uint64_t{0};
     entry["stats"] = json::Value::object();  // empty counters
@@ -651,19 +415,19 @@ TEST(ReportTest, ValidatorFlagsMalformedShardAndSloSections) {
     shards.push_back(entry);
     json::Value row = base;
     row["shards"] = shards;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // shards must be an array
     json::Value row = base;
     row["shards"] = json::Value::object();
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // slo without its target
     json::Value slo = json::Value::object();
     slo["met"] = true;
     json::Value row = base;
     row["slo"] = slo;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
   {  // slo "met" must be a bool
     json::Value slo = json::Value::object();
@@ -671,7 +435,7 @@ TEST(ReportTest, ValidatorFlagsMalformedShardAndSloSections) {
     slo["met"] = std::uint64_t{1};
     json::Value row = base;
     row["slo"] = slo;
-    EXPECT_NE(validate_report(make_doc(row)), "");
+    EXPECT_NE(validate_report(doc_with_row(row)), "");
   }
 }
 
@@ -739,6 +503,26 @@ TEST(ReportTest, WriteEmitsParseableFile) {
   EXPECT_EQ(validate_report(doc), "");
   EXPECT_EQ(doc.find("bench")->as_string(), "unit_test");
   std::remove(path.c_str());
+}
+
+// Every bench report committed at the repo root is at the current schema
+// version, so a stale one fails here. BENCH_micro_read_cost.json is
+// google-benchmark's own format, not a bench report.
+TEST(ReportTest, CommittedReportsValidate) {
+  namespace fs = std::filesystem;
+  std::size_t checked = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(MARGINPTR_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json" ||
+        name == "BENCH_micro_read_cost.json") {
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(validate_report(json::parse(slurp(entry.path().string()))), "")
+        << name;
+  }
+  EXPECT_GT(checked, 0u) << "no BENCH_*.json under " << MARGINPTR_SOURCE_DIR;
 }
 
 #ifdef MARGINPTR_FIG5_BIN
