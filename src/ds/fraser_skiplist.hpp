@@ -8,11 +8,14 @@
 // out of every level; only the deleter retires it, after its find pass, so
 // a node is retired exactly once and only when unreachable.
 //
-// A racing insert can re-link an upper level after the deleter's find pass.
-// The inserter keeps its own node protected (pin) for the whole
-// linking phase and finishes with a deletion re-check + help-find, so the
-// stale link is spliced out before the last protector lets go — reclaimers
-// can never free a still-reachable node.
+// Open race (ROADMAP "Fix the FraserSkipList use-after-free"): a racing
+// insert can re-link an upper level after the deleter's find pass. The
+// inserter pins its node while linking and finishes with a deletion
+// re-check + help-find, but the deleter may already have finished its
+// splice pass and retired the node before the inserter's upper-level CAS.
+// The node is then reachable after retire, and the pin covers only the
+// inserter (operation-scoped schemes ignore it), so a prompt reclaimer
+// (HP, MP, Hyaline) can free a node other readers still reach.
 //
 // Refno slot budget: three rotating slots per level (pred/curr/next, so a
 // level's final pred+succ protections persist untouched while lower levels
@@ -63,7 +66,7 @@ class FraserSkipList {
       : smr_(config),
         rngs_(std::make_unique<common::Padded<common::Xoshiro256>[]>(
             config.max_threads)) {
-    assert(config.slots_per_thread >= kRequiredSlots);
+    config.validate_slots(kRequiredSlots, "FraserSkipList");
     for (std::size_t t = 0; t < config.max_threads; ++t) {
       rngs_[t].value = common::Xoshiro256{0x5ee9 + 0x9e3779b9 * t};
     }

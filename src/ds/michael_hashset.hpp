@@ -67,7 +67,7 @@ class MichaelHashSet {
   /// `buckets` rounds up to a power of two.
   MichaelHashSet(const smr::Config& config, std::size_t buckets)
       : smr_(config), bucket_count_(round_up_pow2(buckets)) {
-    assert(config.slots_per_thread >= kRequiredSlots);
+    config.validate_slots(kRequiredSlots, "MichaelHashSet");
     heads_ = std::make_unique<Bucket[]>(bucket_count_);
     // Stripe the index space: bucket b owns indices
     // [b*stripe, (b+1)*stripe), sentinels at the stripe endpoints.

@@ -69,7 +69,7 @@ class NatarajanTree {
   using Scheme = SchemeT<Node>;
 
   explicit NatarajanTree(const smr::Config& config) : smr_(config) {
-    assert(config.slots_per_thread >= kRequiredSlots);
+    config.validate_slots(kRequiredSlots, "NatarajanTree");
     // Initial state (paper Fig 1): R{inf2}(S, leaf inf2), S{inf1}(leaf inf0,
     // leaf inf1). All permanent; only the inf0 leaf carries a real index.
     Node* leaf0 = smr_.alloc(0, kInf0, Value{0});

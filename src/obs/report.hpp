@@ -85,8 +85,6 @@ inline json::Value to_json(const smr::Config& c) {
   out["empty_freq"] = static_cast<std::uint64_t>(c.empty_freq);
   out["epoch_freq"] = c.effective_epoch_freq();
   out["margin"] = static_cast<std::uint64_t>(c.margin);
-  out["anchor_distance"] = static_cast<std::uint64_t>(c.anchor_distance);
-  out["epoch_advance_on_unlink"] = c.epoch_advance_on_unlink;
   out["retired_soft_cap"] = c.retired_soft_cap;
   out["pool_enabled"] = c.pool_enabled;
   out["pool_effective"] = c.pool_effective();

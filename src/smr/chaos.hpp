@@ -22,8 +22,8 @@
 //     asserts ok() as a runtime invariant.
 //
 // The graceful-degradation path (soft-cap emergency empty() with bounded
-// exponential backoff) lives in SchemeBase::retire; its knobs are on
-// Config (retired_soft_cap, emergency_backoff_limit).
+// exponential backoff) lives in SchemeBase::retire; its knob is
+// Config::retired_soft_cap, its backoff ceiling detail::kEmergencyBackoffLimit.
 #pragma once
 
 #include <atomic>

@@ -6,9 +6,10 @@
 // paper selects from its Fig 7 sensitivity study).
 //
 // Construction-time validation: every scheme calls validate() (and MP
-// additionally validate_margin()) from its constructor, so an invalid
-// Config throws std::invalid_argument in all build types — these used to
-// be debug-only asserts that release builds silently ignored.
+// additionally validate_margin()) from its constructor, and every data
+// structure calls validate_slots(), so an invalid Config throws
+// std::invalid_argument in all build types — these used to be debug-only
+// asserts that release builds silently ignored.
 #pragma once
 
 #include <cstddef>
@@ -69,35 +70,12 @@ struct Config {
   /// Must be >= 2^17 so a margin always covers one full 16-bit tag range.
   std::uint32_t margin = 1u << 20;
 
-  /// DTA only: node traversals between anchor announcements (paper: 100).
-  int anchor_distance = 100;
-
-  /// MP only (paper §4.4 future work): advance the global epoch on every
-  /// node unlink instead of every epoch_freq allocations. Improves the
-  /// per-thread wasted-memory bound from #HP + #MP*M*(1 + epoch_freq*T) to
-  /// #HP + O(#MP*M), at the cost of more frequent hp_mode fallbacks.
-  bool epoch_advance_on_unlink = false;
-
-  /// MP only: policy for assigning an index to a freshly inserted key
-  /// within the search interval (lower, upper). The paper uses the
-  /// midpoint and notes other policies as future work.
-  enum class IndexPolicy {
-    kMidpoint,      ///< floor((lower + upper) / 2) — the paper's Listing 5
-    kGoldenRatio,   ///< lower + 0.382*(upper-lower): low-biased splits slow
-                    ///< exhaustion under ascending insertion patterns
-  };
-  IndexPolicy index_policy = IndexPolicy::kMidpoint;
-
   /// Graceful degradation: when a thread's retired list reaches this size,
   /// retire() escalates to emergency empty() passes (with bounded
-  /// exponential backoff between futile passes, so a stalled peer cannot
-  /// turn every retire into an O(retired) scan). 0 disables the soft cap.
+  /// exponential backoff between futile passes, capped at
+  /// detail::kEmergencyBackoffLimit retires, so a stalled peer cannot turn
+  /// every retire into an O(retired) scan). 0 disables the soft cap.
   std::uint64_t retired_soft_cap = 0;
-
-  /// Ceiling on the emergency-empty backoff interval, in retire() calls.
-  /// Bounds worst-case retire() latency: at most one emergency scan per
-  /// this many retirements even when reclamation stays blocked.
-  std::uint64_t emergency_backoff_limit = 4096;
 
   /// Node-pool allocation (pool.hpp): alloc() placement-news into recycled
   /// node-sized blocks from a per-thread magazine backed by a lock-free
@@ -199,10 +177,6 @@ struct Config {
            std::to_string(kMaxSlotsPerThread) + "]");
     }
     if (empty_freq <= 0) fail("empty_freq must be positive");
-    if (anchor_distance <= 0) fail("anchor_distance must be positive");
-    if (emergency_backoff_limit == 0) {
-      fail("emergency_backoff_limit must be positive");
-    }
     if (pool_magazine_cap == 0 || pool_magazine_cap > (1u << 20)) {
       fail("pool_magazine_cap must be in [1, 2^20]");
     }
@@ -228,6 +202,18 @@ struct Config {
   void validate_margin() const {
     if (margin < (1u << 17)) {
       fail("margin must be at least 2^17 (one full tag range)");
+    }
+  }
+
+  /// A data structure's constraint: it protects up to `required` nodes at
+  /// once (its kRequiredSlots). Protection rows are sized
+  /// kMaxSlotsPerThread but scans cover only slots_per_thread, so a refno
+  /// past it would be written and never honored — an unprotected read.
+  /// Called by every structure's constructor with its name.
+  void validate_slots(int required, const char* structure) const {
+    if (slots_per_thread < required) {
+      fail(std::string(structure) + " needs slots_per_thread >= " +
+           std::to_string(required));
     }
   }
 

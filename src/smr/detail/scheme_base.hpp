@@ -30,8 +30,7 @@
 //
 // The global epoch (epoch_now) stamps every node's birth and retirement.
 // It starts at 1 and ticks per the scheme's kEpochClock: every
-// effective_epoch_freq() allocations (HE, IBR, EBR, DTA; MP unless
-// Config::epoch_advance_on_unlink makes it tick on every retire), inside
+// effective_epoch_freq() allocations (HE, IBR, EBR, DTA, MP), inside
 // the scheme's own protocol (Stamp-it's enrollment, Hyaline's handover), or
 // never (HP, Leaky). Chaos epoch storms advance it for every scheme.
 //
@@ -85,10 +84,13 @@ enum class EpochClock {
   kManual,
   /// Every Config::effective_epoch_freq() allocations.
   kAllocs,
-  /// As kAllocs, or on every retire under Config::epoch_advance_on_unlink
-  /// (MP's §4.4 variant).
-  kAllocsOrUnlinks,
 };
+
+/// Ceiling on the emergency-empty backoff interval, in retire() calls
+/// (Config::retired_soft_cap). Bounds worst-case retire() latency: at most
+/// one emergency scan per this many retirements even when reclamation
+/// stays blocked.
+inline constexpr std::uint64_t kEmergencyBackoffLimit = 4096;
 
 template <typename Node, typename Derived>
 class SchemeBase {
@@ -163,8 +165,7 @@ class SchemeBase {
     Node* node = construct(tid, std::forward<Args>(args)...);
     oracle_alloc_hook(tid, node);
     if constexpr (Derived::kEpochClock != EpochClock::kManual) {
-      if (++local_[tid]->alloc_counter % config_.effective_epoch_freq() == 0 &&
-          !ticks_on_unlink()) {
+      if (++local_[tid]->alloc_counter % config_.effective_epoch_freq() == 0) {
         tick_epoch(tid);
       }
     }
@@ -191,7 +192,6 @@ class SchemeBase {
   /// retire into an O(retired) scan.
   void retire(int tid, Node* node) {
     oracle_retire_hook(tid, node);
-    if (ticks_on_unlink()) tick_epoch(tid);
     node->smr_header.retire_epoch.store(epoch_now(), std::memory_order_relaxed);
     auto& local = *local_[tid];
     local.retired.push_back(node);
@@ -237,8 +237,8 @@ class SchemeBase {
     if (local.retired.size() >= config_.retired_soft_cap) {
       // The pass was futile (e.g. a stalled peer pins everything): back
       // off exponentially, capped so retire() latency stays bounded.
-      local.emergency_backoff = std::min(local.emergency_backoff * 2,
-                                         config_.emergency_backoff_limit);
+      local.emergency_backoff =
+          std::min(local.emergency_backoff * 2, kEmergencyBackoffLimit);
     } else {
       local.emergency_backoff = 1;
     }
@@ -976,12 +976,6 @@ class SchemeBase {
   /// One scheduled tick: advance by one and trace it.
   void tick_epoch(int tid) noexcept {
     trace_event(tid, obs::TraceEvent::kEpochAdvance, advance_epoch());
-  }
-
-  /// Does every retire tick the epoch instead of the allocation clock?
-  bool ticks_on_unlink() const noexcept {
-    return Derived::kEpochClock == EpochClock::kAllocsOrUnlinks &&
-           config_.epoch_advance_on_unlink;
   }
 
   // ---- The reclamation engine's foreground arm (DESIGN.md §12) ----

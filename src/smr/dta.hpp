@@ -1,7 +1,7 @@
 // Drop the Anchor (Braginsky, Kogan & Petrank, SPAA 2013) — paper §3.1.
 //
 // DTA reduces HP overhead by posting an *anchor* once every
-// `anchor_distance` node traversals instead of a hazard pointer per
+// kAnchorDistance node traversals instead of a hazard pointer per
 // dereference; the anchor conceptually protects every node within that
 // distance. Reclamation runs EBR-style; anchors exist so that a stalled
 // thread's neighborhood can be *frozen* (copied and made immutable),
@@ -45,6 +45,9 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
   static constexpr bool kRobust = false;        // see header comment
   static constexpr detail::EpochClock kEpochClock = detail::EpochClock::kAllocs;
 
+  /// Node traversals between anchor announcements (paper: 100).
+  static constexpr int kAnchorDistance = 100;
+
   explicit DTA(const Config& config) : Base(config), epochs_(config) {}
 
   /// Joins the background reclaimer while epochs_ is still alive (its scan
@@ -69,10 +72,10 @@ class DTA : public detail::SchemeBase<Node, DTA<Node>> {
       const TaggedPtr observed = src.load(std::memory_order_acquire);
       Node* node = observed.template ptr<Node>();
       if (node == nullptr) return observed;
-      if (++slot.hops < this->config().anchor_distance) return observed;
+      if (++slot.hops < kAnchorDistance) return observed;
       // Time to drop the anchor: post, publish, and validate that the node
       // is still linked (same protocol as a hazard pointer, but amortized
-      // over anchor_distance traversals).
+      // over kAnchorDistance traversals).
       slot.anchor.store(node, std::memory_order_relaxed);
       stats.bump(stats.slow_protects);
       counted_fence(stats);

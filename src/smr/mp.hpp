@@ -37,7 +37,6 @@
 //      thread for such nodes.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -63,8 +62,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   static constexpr const char* kName = "MP";
   static constexpr bool kBoundedWaste = true;
   static constexpr bool kRobust = true;
-  static constexpr detail::EpochClock kEpochClock =
-      detail::EpochClock::kAllocsOrUnlinks;
+  static constexpr detail::EpochClock kEpochClock = detail::EpochClock::kAllocs;
 
   /// Margin-slot value meaning "no protection" (Listing 10's NO_MARGIN).
   static constexpr std::uint32_t kNoMargin = 0xFFFFFFFFu;
@@ -72,16 +70,11 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
   /// Theorem 4.2's per-thread bound: #HP + #MP*M*(1 + epoch_freq*T)
   /// retired nodes can stay pinned (#HP = #MP = slots_per_thread here),
   /// plus up to empty_freq nodes buffered since the last scheduled pass.
-  /// In §4.4 unlink-epoch mode every retire advances the epoch, so the
-  /// epoch window collapses to the margin itself: #HP + 2*#MP*M.
   static std::uint64_t waste_bound_per_thread(const Config& config) noexcept {
     const auto slots = static_cast<std::uint64_t>(config.slots_per_thread);
     const std::uint64_t margin_term = sat_mul(slots, config.margin);
-    const std::uint64_t epoch_window =
-        config.epoch_advance_on_unlink
-            ? 2
-            : sat_add(1, sat_mul(config.effective_epoch_freq(),
-                                 config.max_threads));
+    const std::uint64_t epoch_window = sat_add(
+        1, sat_mul(config.effective_epoch_freq(), config.max_threads));
     return sat_add(sat_add(slots, sat_mul(margin_term, epoch_window)),
                    static_cast<std::uint64_t>(config.empty_freq));
   }
@@ -311,24 +304,7 @@ class MP : public detail::SchemeBase<Node, MP<Node>> {
       stats.bump(stats.index_collisions);
       return kUseHp;
     }
-    switch (this->config().index_policy) {
-      case Config::IndexPolicy::kGoldenRatio: {
-        // Asymmetric split biased low (1 - 1/phi ~ 0.382 of the span):
-        // ascending insertions — the Fig 7a worst case and a common
-        // append-mostly production pattern — keep 61.8% of the remaining
-        // range each step instead of 50%, stretching the collision-free
-        // run from ~32 to ~46 inserts (at the cost of descending runs).
-        const std::uint64_t span = hi - lo;
-        // Clamp the offset into [1, span-1]: integer flooring must never
-        // duplicate an endpoint's index (linked indices stay unique).
-        const std::uint64_t offset =
-            std::clamp<std::uint64_t>((span * 382) / 1000, 1, span - 1);
-        return lo + static_cast<std::uint32_t>(offset);
-      }
-      case Config::IndexPolicy::kMidpoint:
-      default:
-        return lo + (hi - lo) / 2;  // Listing 5
-    }
+    return lo + (hi - lo) / 2;  // Listing 5
   }
 
   // ---- Reclamation (Listing 10 empty) ----

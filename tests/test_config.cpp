@@ -5,6 +5,10 @@
 
 #include <stdexcept>
 
+#include "ds/fraser_skiplist.hpp"
+#include "ds/michael_hashset.hpp"
+#include "ds/michael_list.hpp"
+#include "ds/natarajan_tree.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -56,18 +60,6 @@ TEST(ConfigValidate, RejectsNonPositiveEmptyFreq) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
-TEST(ConfigValidate, RejectsNonPositiveAnchorDistance) {
-  Config config = valid_config();
-  config.anchor_distance = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-}
-
-TEST(ConfigValidate, RejectsZeroEmergencyBackoffLimit) {
-  Config config = valid_config();
-  config.emergency_backoff_limit = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-}
-
 TEST(ConfigValidate, MarginRuleIsMpOnly) {
   Config config = valid_config();
   config.margin = (1u << 17) - 1;
@@ -98,6 +90,26 @@ TEST(ConfigValidate, SmallMarginRejectedByMpAcceptedElsewhere) {
   EXPECT_THROW(mp::smr::MP<TestNode> mp_(config), std::invalid_argument);
   EXPECT_NO_THROW(mp::smr::HP<TestNode> hp(config));   // margin is MP-only
   EXPECT_NO_THROW(mp::smr::EBR<TestNode> ebr(config));
+}
+
+// A structure protects up to kRequiredSlots nodes at once; with fewer
+// slots its upper refnos would be written but never scanned. The check
+// must hold in release builds, not only as a debug assert.
+template <typename DS, typename... Args>
+void expect_slot_check(Args... args) {
+  Config config = valid_config();
+  config.slots_per_thread = DS::kRequiredSlots - 1;
+  EXPECT_THROW(DS ds(config, args...), std::invalid_argument);
+  config.slots_per_thread = DS::kRequiredSlots;
+  EXPECT_NO_THROW(DS ds(config, args...));
+}
+
+TEST(ConfigValidate, StructuresRejectTooFewSlots) {
+  using namespace mp::ds;
+  expect_slot_check<MichaelList<mp::smr::MP>>();
+  expect_slot_check<MichaelHashSet<mp::smr::MP>>(std::size_t{4});
+  expect_slot_check<FraserSkipList<mp::smr::MP>>();
+  expect_slot_check<NatarajanTree<mp::smr::MP>>();
 }
 
 TEST(ConfigValidate, ThrowsBeforeAnyAllocation) {

@@ -197,17 +197,15 @@ TEST(EpochSchemes, IbrReadExtendsReservationOnEpochChange) {
 // ---- DTA ----
 
 TEST(EpochSchemes, DtaPostsAnchorEveryKHops) {
-  Config config = config_for(2, 1000, 4);
-  config.anchor_distance = 10;
-  DTA scheme(config);
+  DTA scheme(config_for(2, 1000, 4));
   TestNode* node = scheme.alloc(0, 1u);
   AtomicTaggedPtr cell(scheme.make_link(node));
   scheme.start_op(1);
   const auto before = scheme.stats_snapshot();
-  for (int i = 0; i < 100; ++i) scheme.read(1, 0, cell);
+  for (int i = 0; i < 10 * DTA::kAnchorDistance; ++i) scheme.read(1, 0, cell);
   const auto after = scheme.stats_snapshot();
   EXPECT_EQ(after.slow_protects - before.slow_protects, 10u)
-      << "100 hops / anchor_distance 10 = 10 anchor posts";
+      << "1000 hops / kAnchorDistance 100 = 10 anchor posts";
   scheme.end_op(1);
   scheme.delete_unlinked(node);
 }

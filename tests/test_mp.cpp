@@ -451,4 +451,26 @@ TEST(MpBound, NoStallMeansNoAccumulation) {
   EXPECT_LE(scheme.outstanding(), 2u);
 }
 
+TEST(MpBound, PerThreadBoundIsTheorem42) {
+  // slots + slots*M*(1 + epoch_freq*T) + empty_freq, with epoch_freq 0
+  // meaning 150*T.
+  Config defaults = config_for(2, 1u << 20, /*epoch_freq=*/0, 30);
+  EXPECT_EQ(MP::waste_bound_per_thread(defaults),
+            4u + 4u * (1ull << 20) * (1 + (150 * 2) * 2) + 30u);
+  Config minimal = config_for(3, 1u << 17, /*epoch_freq=*/7, 1);
+  minimal.slots_per_thread = 8;
+  EXPECT_EQ(MP::waste_bound_per_thread(minimal),
+            8u + 8u * (1ull << 17) * (1 + 7 * 3) + 1u);
+
+  // The sat_mul edge: slots*M = 2^31 times an epoch window of 2^32 - 1 is
+  // exact (2^63 - 2^31); a window of 2^33 + 1 overflows and saturates.
+  Config edge = config_for(2, 1u << 31, /*epoch_freq=*/(1ull << 31) - 1, 5);
+  edge.slots_per_thread = 1;
+  EXPECT_EQ(MP::waste_bound_per_thread(edge),
+            1u + (1ull << 63) - (1ull << 31) + 5u);
+  edge.max_threads = 1;
+  edge.epoch_freq = 1ull << 33;
+  EXPECT_EQ(MP::waste_bound_per_thread(edge), mp::smr::kUnboundedWaste);
+}
+
 }  // namespace
